@@ -9,17 +9,17 @@ auxiliary-variable solvers) so each side can certify the other.
 
 from .bruteforce import ConRResult, brute_force_conr, brute_force_hb_nocr, \
     brute_force_wz
-from .channels import AuxChannel, ConRConstraint, TestChannel, compose_joint, \
-    eval_distortions, eval_hb_cr_alt_objective, eval_hb_cr_objective
+from .channels import ConRConstraint, TestChannel, compose_joint, eval_distortions, \
+    eval_hb_cr_alt_objective, eval_hb_cr_objective
 from .closed_form import BinaryMetric, DistortionPair, RegionLabel, RegionRate, \
     binary_hb_test_channel, cascade_region_binary, cascade_region_gaussian, \
     gaussian_hb_test_channel_params, rcr_point_binary, rcr_point_gaussian, \
     rhb_cr_binary, rhb_cr_gaussian
-from .descent import DescentResult, MITerm, descent_hb_cr, descent_weighted, \
-    feasible_channel
+from .descent import DescentResult, descent_hb_cr, descent_weighted, feasible_channel
 from .errors import CrrdError, GuardExceededError, InfeasibleBudgetError, \
     InvalidSpecError, ShapeMismatchError
 from .gridsearch import grid_oracle_hb_cr, grid_oracle_point_cr, simplex_grid
+from .measures import MITerm
 from .prob import FORBIDDEN, BinaryErasureSpec, DegradednessResult, \
     DistortionMetric, FinitePmf, GaussianSpec, JointSource, binary_entropy, \
     build_erased_source, check_markov_chain, check_stochastic_degradedness, \
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FORBIDDEN",
-    "AuxChannel",
     "BinaryErasureSpec",
     "BinaryMetric",
     "CascadeBounds",

@@ -35,8 +35,9 @@ from .channels import ConRConstraint
 from .closed_form import DistortionPair
 from .errors import GuardExceededError, InfeasibleBudgetError, InvalidSpecError, \
     ShapeMismatchError
-from .gridsearch import POINT_GUARD_DEFAULT, _enumerate_feasible, _HbObjective, \
-    _PointObjective, _Slice, _neg_plogp_rows, _step_units, simplex_grid
+from .gridsearch import POINT_GUARD_DEFAULT, _SLACK, _enumerate_feasible, \
+    _HbObjective, _PointObjective, _Slice, _step_units, simplex_grid
+from .measures import entropy_rows
 from .prob import DistortionMetric, FinitePmf, JointSource
 
 __all__ = [
@@ -45,8 +46,6 @@ __all__ = [
     "brute_force_hb_nocr",
     "brute_force_conr",
 ]
-
-_SLACK = 1e-12
 
 
 def _u_slices(nx: int, n_cells: int, k: int, guard: int) -> list[_Slice]:
@@ -57,7 +56,7 @@ def _u_slices(nx: int, n_cells: int, k: int, guard: int) -> list[_Slice]:
             count ** nx, guard)
     rows = simplex_grid(k, n_cells).astype(np.float64) / k
     s = _Slice(cells=np.arange(n_cells), rows=rows, padded=rows,
-               costs=np.zeros((0, rows.shape[0])), h_row=_neg_plogp_rows(rows))
+               costs=np.zeros((0, rows.shape[0])), h_row=entropy_rows(rows))
     return [s] * nx
 
 

@@ -1,9 +1,8 @@
-"""Test channels, auxiliary-variable channels, and objective evaluators.
+"""Test channels, the constrained-reconstruction budget, and objective
+evaluators.
 
 A test channel p(xhat1, xhat2 | x) is the optimization variable of the
-common-reconstruction formulas; an auxiliary channel p(u1, u2 | x) plus
-deterministic decoder (and, for constrained reconstruction, encoder)
-maps is the variable of the relaxed problems.
+common-reconstruction formulas.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .prob import DistortionMetric, FinitePmf, JointSource, check_markov_chain, 
 
 __all__ = [
     "TestChannel",
-    "AuxChannel",
     "ConRConstraint",
     "compose_joint",
     "eval_hb_cr_objective",
@@ -83,49 +81,6 @@ class TestChannel:
 
     def __repr__(self) -> str:
         return f"TestChannel(|X|={self.nx}, {self.m1}x{self.m2})"
-
-
-@dataclass(frozen=True)
-class AuxChannel:
-    """Auxiliary channel p(u1, u2 | x) with deterministic maps.
-
-    dec1[u1, y1] and dec2[u2, y2] give the decoders' reconstructions;
-    enc1[u1, x] and enc2[u2, x] (optional) give the encoder-side
-    reproductions used by the constrained-reconstruction check.
-    """
-
-    cond: np.ndarray
-    dec1: np.ndarray
-    dec2: np.ndarray
-    enc1: np.ndarray | None = None
-    enc2: np.ndarray | None = None
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.cond, dtype=np.float64)
-        if arr.ndim != 3:
-            raise InvalidSpecError("aux channel tensor must have 3 axes (x, u1, u2)")
-        sums = arr.sum(axis=(1, 2))
-        if np.any(np.abs(sums - 1.0) > _SLICE_TOL) or np.any(arr < 0):
-            raise InvalidSpecError("each x-slice of p(u1,u2|x) must be a pmf")
-        arr.setflags(write=False)
-        object.__setattr__(self, "cond", arr)
-        for name in ("dec1", "dec2", "enc1", "enc2"):
-            m = getattr(self, name)
-            if m is None:
-                continue
-            m = np.ascontiguousarray(m, dtype=np.int64)
-            if m.ndim != 2:
-                raise InvalidSpecError(f"{name} must be a 2-d integer map")
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
-
-    @property
-    def nu1(self) -> int:
-        return self.cond.shape[1]
-
-    @property
-    def nu2(self) -> int:
-        return self.cond.shape[2]
 
 
 @dataclass(frozen=True)

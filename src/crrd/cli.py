@@ -14,6 +14,7 @@ guard exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -22,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from .bruteforce import brute_force_conr, brute_force_hb_nocr, brute_force_wz
-from .channels import ConRConstraint
+from .channels import ConRConstraint, TestChannel
 from .closed_form import BinaryMetric, DistortionPair, binary_hb_test_channel, \
     cascade_region_binary, cascade_region_gaussian, rcr_point_binary, \
     rcr_point_gaussian, rhb_cr_binary, rhb_cr_gaussian
@@ -71,6 +72,23 @@ def emit_json(doc: dict, path: str | None) -> None:
             fh.write(text)
 
 
+def _number(value: Any, field: str, kind: type = float) -> Any:
+    """`kind(value)`, or InvalidSpecError naming the spec field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvalidSpecError(
+            f"{field} must be {kind.__name__}, got {value!r}") from None
+
+
+def _field(doc: dict, key: str) -> Any:
+    """`doc[key]` of a custom model file, or InvalidSpecError naming the key."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise InvalidSpecError(f"custom model file has no {key!r} entry") from None
+
+
 def _parse_model(text: str) -> dict:
     if ":" not in text:
         raise InvalidSpecError(f"model must look like name:args, got {text!r}")
@@ -79,21 +97,25 @@ def _parse_model(text: str) -> dict:
     if name == "custom":
         with open(args, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise InvalidSpecError("custom model file must hold a JSON object")
         return {"kind": "custom", "doc": doc}
-    vals = [float(v) for v in args.split(",") if v.strip() != ""]
+    vals = [v for v in args.split(",") if v.strip() != ""]
     if name in ("gaussian", "g"):
-        if len(vals) == 2:
-            return {"kind": "gaussian", "sigma_x2": vals[0], "n1": 0.0, "n2": vals[1]}
-        if len(vals) == 3:
-            return {"kind": "gaussian", "sigma_x2": vals[0], "n1": vals[1], "n2": vals[2]}
-        raise InvalidSpecError("gaussian model needs sigma_x2,n or sigma_x2,n1,n2")
-    if name in ("binary-erased", "binary", "b"):
-        if len(vals) == 1:
-            return {"kind": "binary", "p": vals[0]}
-        if len(vals) == 2:
-            return {"kind": "binary", "p1": vals[0], "p2": vals[1]}
-        raise InvalidSpecError("binary model needs p or p1,p2")
-    raise InvalidSpecError(f"unknown model {name!r}")
+        fields = {2: ("sigma_x2", "n2"), 3: ("sigma_x2", "n1", "n2")}.get(len(vals))
+        if fields is None:
+            raise InvalidSpecError("gaussian model needs sigma_x2,n or sigma_x2,n1,n2")
+        model = {"kind": "gaussian", "n1": 0.0}
+    elif name in ("binary-erased", "binary", "b"):
+        fields = {1: ("p",), 2: ("p1", "p2")}.get(len(vals))
+        if fields is None:
+            raise InvalidSpecError("binary model needs p or p1,p2")
+        model = {"kind": "binary"}
+    else:
+        raise InvalidSpecError(f"unknown model {name!r}")
+    for key, v in zip(fields, vals):
+        model[key] = _number(v, f"{name} model field {key}")
+    return model
 
 
 def _metric_from_doc(doc: dict) -> DistortionMetric:
@@ -124,15 +146,20 @@ def _erased_pair_pmf(p: float) -> FinitePmf:
 def _sweep_values(spec: dict) -> tuple[str, list[float]]:
     sw = spec.get("sweep")
     if not sw:
-        var = "d1"
-        return var, [float(spec.get("d1", 0.0))]
+        return "d1", [_number(spec.get("d1", 0.0), "d1")]
     if isinstance(sw, str):
         parts = sw.split(":")
         if len(parts) != 4:
             raise InvalidSpecError("sweep must be var:from:to:count")
-        var, lo, hi, count = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+    elif isinstance(sw, dict) and {"var", "from", "to", "count"} <= sw.keys():
+        parts = [sw["var"], sw["from"], sw["to"], sw["count"]]
     else:
-        var, lo, hi, count = sw["var"], float(sw["from"]), float(sw["to"]), int(sw["count"])
+        raise InvalidSpecError("sweep must be var:from:to:count or an object with "
+                               "var, from, to and count")
+    var = parts[0]
+    lo = _number(parts[1], "sweep from")
+    hi = _number(parts[2], "sweep to")
+    count = _number(parts[3], "sweep count", int)
     if count < 1:
         raise InvalidSpecError("sweep count must be >= 1")
     return var, [float(v) for v in np.linspace(lo, hi, count)]
@@ -162,9 +189,9 @@ def _solver_list(spec: dict, allowed: tuple[str, ...], default: str) -> list[str
 
 def _custom_source(model: dict) -> tuple[JointSource, DistortionMetric, DistortionMetric]:
     doc = model["doc"]
-    src = JointSource.from_json(json.dumps(doc["source"]))
-    m1 = _metric_from_doc(doc["metric1"])
-    m2 = _metric_from_doc(doc["metric2"])
+    src = JointSource.from_json(json.dumps(_field(doc, "source")))
+    m1 = _metric_from_doc(_field(doc, "metric1"))
+    m2 = _metric_from_doc(_field(doc, "metric2"))
     return src, m1, m2
 
 
@@ -181,6 +208,30 @@ def _finite_instance(spec: dict):
     if model["kind"] == "custom":
         return _custom_source(model)
     raise InvalidSpecError("finite-alphabet solver needs a binary-erased or custom model")
+
+
+def _point_instance(spec: dict) -> tuple[FinitePmf, DistortionMetric]:
+    """(pair pmf, metric) for the point-to-point grid and Wyner-Ziv solvers."""
+    model = spec["model"]
+    if model["kind"] == "binary":
+        pmf = _erased_pair_pmf(model.get("p", model.get("p1")))
+        return pmf, _metric_objects(_binary_metric(spec.get("metric", "hamming")))
+    if model["kind"] == "custom":
+        doc = model["doc"]
+        pair_pmf = _field(doc, "pair_pmf")
+        pmf = FinitePmf(np.asarray(pair_pmf["pmf"]).reshape(pair_pmf["alphabets"]))
+        return pmf, _metric_from_doc(_field(doc, "metric"))
+    raise InvalidSpecError("point-to-point solver needs a finite-alphabet model")
+
+
+def _binary_seed_channel(spec: dict, pair: DistortionPair) -> TestChannel | None:
+    """The closed-form binary test channel, where it applies (Hamming
+    metric, d2 <= d1 <= 1/2); None otherwise."""
+    model = spec["model"]
+    if model["kind"] == "binary" and pair.d2 <= pair.d1 <= 0.5 \
+            and spec.get("metric", "hamming") == "hamming":
+        return binary_hb_test_channel(pair, BinaryErasureSpec(model["p1"], model["p2"]))
+    return None
 
 
 def run_point_cr(spec: dict) -> dict:
@@ -205,17 +256,7 @@ def run_point_cr(spec: dict) -> dict:
                 else:
                     raise InvalidSpecError("closed form needs gaussian or binary model")
             else:
-                if model["kind"] == "binary":
-                    p = model.get("p", model.get("p1"))
-                    pmf = _erased_pair_pmf(p)
-                    met = _metric_objects(_binary_metric(spec.get("metric", "hamming")))
-                elif model["kind"] == "custom":
-                    doc = model["doc"]
-                    pmf = FinitePmf(np.asarray(doc["pair_pmf"]["pmf"]).reshape(
-                        doc["pair_pmf"]["alphabets"]))
-                    met = _metric_from_doc(doc["metric"])
-                else:
-                    raise InvalidSpecError("grid solver needs a finite-alphabet model")
+                pmf, met = _point_instance(spec)
                 rate = grid_oracle_point_cr(pmf, met, value, step)
             rows.append([var, value, rate, solver, ""])
     return _doc("point-cr", spec, _SCALAR_COLUMNS, rows)
@@ -250,13 +291,8 @@ def run_hb_cr(spec: dict) -> dict:
                     rate, _ = grid_oracle_hb_cr(src, m1, m2, pair, step,
                                                 guard=int(spec.get("guard", HB_GUARD_DEFAULT)))
                 else:
-                    init = None
-                    if model["kind"] == "binary" and pair.d2 <= pair.d1 <= 0.5 \
-                            and spec.get("metric", "hamming") == "hamming":
-                        init = binary_hb_test_channel(
-                            pair, BinaryErasureSpec(model["p1"], model["p2"]))
-                    rate = descent_hb_cr(src, m1, m2, pair, restarts=restarts,
-                                         seed=seed, init=init).rate
+                    rate = descent_hb_cr(src, m1, m2, pair, restarts=restarts, seed=seed,
+                                         init=_binary_seed_channel(spec, pair)).rate
             rows.append([var, value, rate, solver, flag])
     return _doc("hb-cr", spec, _SCALAR_COLUMNS, rows)
 
@@ -338,14 +374,9 @@ def run_cascade_cr(spec: dict) -> dict:
                     region = cascade_region_xy1y2(src, m1, m2, pair, cfg)
                     rows.extend(_region_rows(region, solver))
                 else:
-                    seeds = ()
-                    if model["kind"] == "binary" and pair.d2 <= pair.d1 <= 0.5 \
-                            and spec.get("metric", "hamming") == "hamming":
-                        seeds = (binary_hb_test_channel(
-                            pair, BinaryErasureSpec(model["p1"], model["p2"])),)
-                    cfg = SamplerConfig(method=cfg.method, step=cfg.step,
-                                        n_weights=cfg.n_weights, restarts=cfg.restarts,
-                                        seed=cfg.seed, seed_channels=seeds)
+                    init = _binary_seed_channel(spec, pair)
+                    cfg = dataclasses.replace(
+                        cfg, seed_channels=() if init is None else (init,))
                     bounds = cascade_bounds_xy2y1(src, m1, m2, pair, cfg)
                     oc = bounds.outer.points[0]
                     rows.append(["corner", value, oc.r1, oc.r2, solver, "", "outer-corner"])
@@ -404,23 +435,12 @@ def run_hb_nocr(spec: dict) -> dict:
 
 
 def run_wz(spec: dict) -> dict:
-    model = spec["model"]
     var, values = _sweep_values(spec)
     if var != "d1":
         raise InvalidSpecError("wz sweeps d1 only")
     step = float(spec.get("step", 0.05))
     cap = int(spec.get("u_cap", 3))
-    if model["kind"] == "binary":
-        p = model.get("p", model.get("p1"))
-        pmf = _erased_pair_pmf(p)
-        met = _metric_objects(_binary_metric(spec.get("metric", "hamming")))
-    elif model["kind"] == "custom":
-        doc = model["doc"]
-        pmf = FinitePmf(np.asarray(doc["pair_pmf"]["pmf"]).reshape(
-            doc["pair_pmf"]["alphabets"]))
-        met = _metric_from_doc(doc["metric"])
-    else:
-        raise InvalidSpecError("wz needs a finite-alphabet model")
+    pmf, met = _point_instance(spec)
     rows = []
     for value in values:
         rate = brute_force_wz(pmf, met, value, cap, step)
@@ -433,7 +453,7 @@ def run_degradedness(spec: dict) -> dict:
     if model["kind"] == "binary" and "p1" in model:
         src = build_erased_source(BinaryErasureSpec(model["p1"], model["p2"]))
     elif model["kind"] == "custom":
-        src = JointSource.from_json(json.dumps(model["doc"]["source"]))
+        src = JointSource.from_json(json.dumps(_field(model["doc"], "source")))
     else:
         raise InvalidSpecError("degradedness needs a binary-erased or custom model")
     res = check_stochastic_degradedness(src)

@@ -8,16 +8,11 @@ the exact Euclidean projection for closed convex sets; the stopping
 tolerance is 1e-10.
 
 The objective is any nonnegative combination of conditional mutual
-informations of the form I(X; B | Y, D), where B and D are groups of
-reconstruction variables and Y is one of the side informations (or
-absent).  Gradients are analytic: for a term I(X;B|Y,D) the derivative
-with respect to the channel entry q(a, b | x) is
-
-    sum_y p(x, y) * (-log p(b-part | y, d-part)) + p(x) * log q(b-part | d-part, x),
-
-with logs clipped near zero mass.  Convexity of the combined objective is
-not assumed; the solver is a multistart local method whose results are
-cross-checked against the enumeration oracles in the test suite.
+informations I(X; B | Y, D), given as `MITerm`s; values and analytic
+gradients come from `measures.term_value_grad`.  Convexity of the
+combined objective is not assumed; the solver is a multistart local method
+whose results are cross-checked against the enumeration oracles in the
+test suite.
 """
 
 from __future__ import annotations
@@ -30,124 +25,18 @@ from scipy.optimize import linprog
 
 from .channels import TestChannel
 from .closed_form import DistortionPair
-from .errors import InfeasibleBudgetError, InvalidSpecError
+from .errors import InfeasibleBudgetError
+from .measures import HB_CR_TERMS, MITerm, term_value_grad
 from .prob import DistortionMetric, JointSource
 
 __all__ = [
-    "MITerm",
-    "HB_CR_TERMS",
     "DescentResult",
     "feasible_channel",
     "descent_weighted",
     "descent_hb_cr",
 ]
 
-_TINY = 1e-18
 _DYKSTRA_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class MITerm:
-    """One conditional-mutual-information term I(X; B | Y, D).
-
-    `b_axes` and `cond_axes` are subsets of (1, 2) naming the
-    reconstruction variables (1 = first decoder, 2 = second decoder);
-    `y_axis` is 1, 2, or None for the side information in the condition.
-    """
-
-    b_axes: tuple[int, ...]
-    y_axis: int | None
-    cond_axes: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if not self.b_axes or not set(self.b_axes) <= {1, 2}:
-            raise InvalidSpecError("b_axes must be a nonempty subset of (1, 2)")
-        if set(self.cond_axes) & set(self.b_axes):
-            raise InvalidSpecError("cond_axes must be disjoint from b_axes")
-        if self.y_axis not in (None, 1, 2):
-            raise InvalidSpecError("y_axis must be 1, 2 or None")
-
-
-#: Terms of the broadcast CR objective I(X;Xh1|Y1) + I(X;Xh2|Y2,Xh1).
-HB_CR_TERMS: tuple[MITerm, ...] = (MITerm((1,), 1), MITerm((2,), 2, (1,)))
-
-
-def _entropy_bits(a: np.ndarray) -> float:
-    a = a.reshape(-1)
-    return float(-(a * np.log(a + (a <= 0))).sum() / math.log(2.0))
-
-
-def _safe_log(a: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(a, _TINY))
-
-
-def _sxy_for(source: JointSource, y_axis: int | None) -> np.ndarray:
-    if y_axis == 1:
-        return source.xy1_marginal()
-    if y_axis == 2:
-        return source.xy2_marginal()
-    return source.x_marginal()[:, None]   # dummy one-symbol side axis
-
-
-def _term_value_grad(source: JointSource, q: np.ndarray, term: MITerm,
-                     ) -> tuple[float, np.ndarray]:
-    """Value and gradient of I(X; B | Y, D) at channel q = p(a, b | x)."""
-    sxy = _sxy_for(source, term.y_axis)
-    px = source.x_marginal()
-    t = np.einsum("xy,xab->xyab", sxy, q)      # p(x, y, a, b)
-    m1 = q.sum(axis=2)                          # p(a | x)
-    m2 = q.sum(axis=1)                          # p(b | x)
-
-    b, d = set(term.b_axes), set(term.cond_axes)
-    # tensor axis ids in t: x=0, y=1, a=2, b=3
-    ax = {1: 2, 2: 3}
-    bd_axes = tuple(sorted({1} | {ax[i] for i in b | d}))
-    d_axes = tuple(sorted({1} | {ax[i] for i in d}))
-    h_y = _entropy_bits_marg(t, bd_axes) - _entropy_bits_marg(t, d_axes)
-
-    px_q = (px[:, None, None] * q)[:, None, :, :]  # axes (x, dummy-y, a, b)
-    bdx = tuple(sorted({0} | {ax[i] for i in b | d}))
-    dx = tuple(sorted({0} | {ax[i] for i in d}))
-    h_x = _entropy_bits_marg(px_q, bdx) - _entropy_bits_marg(px_q, dx)
-    value = max(0.0, h_y - h_x)
-
-    # gradient pieces (natural log; converted to bits at the end)
-    num = t.sum(axis=0)                        # p(y, a, b)
-    if b == {1} and not d:
-        den = num.sum(axis=(1, 2))
-        c = num.sum(axis=2) / np.maximum(den[:, None], _TINY)      # p(a|y)
-        g = -np.einsum("xy,ya->xa", sxy, _safe_log(c))[:, :, None]
-        g = g + (px[:, None] * _safe_log(m1))[:, :, None]
-    elif b == {2} and not d:
-        den = num.sum(axis=(1, 2))
-        c = num.sum(axis=1) / np.maximum(den[:, None], _TINY)      # p(b|y)
-        g = -np.einsum("xy,yb->xb", sxy, _safe_log(c))[:, None, :]
-        g = g + (px[:, None] * _safe_log(m2))[:, None, :]
-    elif b == {2} and d == {1}:
-        den = num.sum(axis=2, keepdims=True)
-        c = num / np.maximum(den, _TINY)                           # p(b|y,a)
-        g = -np.einsum("xy,yab->xab", sxy, _safe_log(c))
-        g = g + px[:, None, None] * _safe_log(q / np.maximum(m1[:, :, None], _TINY))
-    elif b == {1} and d == {2}:
-        den = num.sum(axis=1, keepdims=True)
-        c = num / np.maximum(den, _TINY)                           # p(a|y,b)
-        g = -np.einsum("xy,yab->xab", sxy, _safe_log(c))
-        g = g + px[:, None, None] * _safe_log(q / np.maximum(m2[:, None, :], _TINY))
-    elif b == {1, 2} and not d:
-        den = num.sum(axis=(1, 2), keepdims=True)
-        c = num / np.maximum(den, _TINY)                           # p(a,b|y)
-        g = -np.einsum("xy,yab->xab", sxy, _safe_log(c))
-        g = g + px[:, None, None] * _safe_log(q)
-    else:
-        raise InvalidSpecError(f"unsupported term combination {term}")
-    g = np.broadcast_to(g, q.shape)
-    return value, np.array(g) / math.log(2.0)
-
-
-def _entropy_bits_marg(t: np.ndarray, keep: tuple[int, ...]) -> float:
-    drop = tuple(i for i in range(t.ndim) if i not in keep)
-    m = t.sum(axis=drop) if drop else t
-    return _entropy_bits(m)
 
 
 class _Feasible:
@@ -278,7 +167,7 @@ def _objective(source: JointSource, q: np.ndarray,
     for term, w in zip(terms, weights):
         if w == 0:
             continue
-        v, g = _term_value_grad(source, q, term)
+        v, g = term_value_grad(source, q, term)
         val += w * v
         grad += w * g
     return val, grad

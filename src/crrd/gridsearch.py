@@ -32,6 +32,7 @@ from .channels import TestChannel
 from .closed_form import DistortionPair
 from .errors import GuardExceededError, InfeasibleBudgetError, InvalidSpecError, \
     ShapeMismatchError
+from .measures import entropy_rows
 from .prob import DistortionMetric, FinitePmf, JointSource
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "feasible_hb_channel_batches",
 ]
 
-_LN2 = math.log(2.0)
 _SLACK = 1e-12
 _BATCH = 2_000_000
 
@@ -71,12 +71,6 @@ def simplex_grid(units: int, cells: int) -> np.ndarray:
 
 def _grid_size(units: int, cells: int) -> int:
     return math.comb(units + cells - 1, cells - 1)
-
-
-def _neg_plogp_rows(a: np.ndarray) -> np.ndarray:
-    """Entropy in bits along the last axis; rows need not be normalized
-    for the padded-zero cells (0 log 0 = 0 exactly)."""
-    return -(a * np.log(a + (a <= 0))).sum(axis=-1) / _LN2
 
 
 def _step_units(step: float) -> int:
@@ -113,7 +107,7 @@ def _build_slice(units: int, allowed_flat: np.ndarray, n_full: int,
     padded[:, cells] = rows
     costs = np.stack([rows @ cv[cells] for cv in cost_vectors])
     return _Slice(cells=cells, rows=rows, padded=padded, costs=costs,
-                  h_row=_neg_plogp_rows(rows))
+                  h_row=entropy_rows(rows))
 
 
 def _zero_rate_witness(slices: list[_Slice], n_full: int, units: int,
@@ -280,7 +274,7 @@ class _MixEntropyTerms:
     def __init__(self, p_xy: np.ndarray, row_arrays: list[np.ndarray]):
         self.p_xy = p_xy
         self.rows = row_arrays
-        self.h_rows = [_neg_plogp_rows(r) for r in row_arrays]
+        self.h_rows = [entropy_rows(r) for r in row_arrays]
         self.pure: list[tuple[float, int]] = []
         self.mixed: list[tuple[float, np.ndarray]] = []
         py = p_xy.sum(axis=0)
@@ -304,7 +298,7 @@ class _MixEntropyTerms:
                     continue
                 part = wx * self.rows[x][idx[x]]
                 mix = part if mix is None else mix + part
-            out += w * _neg_plogp_rows(mix)
+            out += w * entropy_rows(mix)
         return out
 
 

@@ -1,0 +1,151 @@
+"""Conditional-mutual-information terms over test channels.
+
+Every rate expression in the package is a sum of terms I(X; B | Y, D),
+where B and D are groups of reconstruction variables and Y is one of the
+side informations (or absent).  `MITerm` describes one such term; this
+module evaluates term lists in the two forms the solvers need:
+
+* on one channel q = p(xh1, xh2 | x), with the analytic gradient used by
+  projected descent.  For I(X;B|Y,D) the derivative with respect to
+  q(a, b | x) is
+
+      -sum_y p(x, y) log[p(b, d | y) / p(d | y)] + p(x) log[q(b, d | x) / q(d | x)]
+
+  (in nats before the conversion to bits, logs clipped near zero mass;
+  both denominators are dropped when D is empty);
+
+* on a batch of channels, through the joint tensor with axes
+  (batch, x, y1, y2, xh1, xh2), for the region samplers.
+
+`prob.conditional_mutual_information` is deliberately a separate
+implementation: it is the independent reference that the evaluators in
+`channels` and the tests check these values against.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import InvalidSpecError
+from .prob import JointSource
+
+__all__ = [
+    "MITerm",
+    "HB_CR_TERMS",
+    "entropy_rows",
+    "term_value_grad",
+    "batch_joint",
+    "batch_terms",
+]
+
+_LN2 = math.log(2.0)
+_TINY = 1e-18
+
+
+@dataclass(frozen=True)
+class MITerm:
+    """One conditional-mutual-information term I(X; B | Y, D).
+
+    `b_axes` and `cond_axes` are subsets of (1, 2) naming the
+    reconstruction variables (1 = first decoder, 2 = second decoder);
+    `y_axis` is 1, 2, or None for the side information in the condition.
+    """
+
+    b_axes: tuple[int, ...]
+    y_axis: int | None
+    cond_axes: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if not self.b_axes or not set(self.b_axes) <= {1, 2}:
+            raise InvalidSpecError("b_axes must be a nonempty subset of (1, 2)")
+        if set(self.cond_axes) & set(self.b_axes):
+            raise InvalidSpecError("cond_axes must be disjoint from b_axes")
+        if self.y_axis not in (None, 1, 2):
+            raise InvalidSpecError("y_axis must be 1, 2 or None")
+
+
+#: Terms of the broadcast CR objective I(X;Xh1|Y1) + I(X;Xh2|Y2,Xh1).
+HB_CR_TERMS: tuple[MITerm, ...] = (MITerm((1,), 1), MITerm((2,), 2, (1,)))
+
+
+def entropy_rows(a: np.ndarray) -> np.ndarray:
+    """Entropy in bits along the last axis; rows need not be normalized
+    for the padded-zero cells (0 log 0 = 0 exactly)."""
+    return -(a * np.log(a + (a <= 0))).sum(axis=-1) / _LN2
+
+
+def _safe_log(a: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(a, _TINY))
+
+
+def _sum_out(t: np.ndarray, keep: set[int], keepdims: bool = False) -> np.ndarray:
+    drop = tuple(i for i in range(t.ndim) if i not in keep)
+    return t.sum(axis=drop, keepdims=keepdims) if drop else t
+
+
+def _entropy_of(t: np.ndarray, keep: set[int]) -> float:
+    return float(entropy_rows(_sum_out(t, keep).reshape(-1)))
+
+
+def term_value_grad(source: JointSource, q: np.ndarray, term: MITerm,
+                    ) -> tuple[float, np.ndarray]:
+    """Value and gradient (both in bits) of I(X; B | Y, D) at channel q."""
+    if term.y_axis == 1:
+        sxy = source.xy1_marginal()
+    elif term.y_axis == 2:
+        sxy = source.xy2_marginal()
+    else:
+        sxy = source.x_marginal()[:, None]   # dummy one-symbol side axis
+    px = source.x_marginal()
+    # channel axes xh1=1, xh2=2, as in q(xh1, xh2 | x) and p(y, xh1, xh2);
+    # the (x, y, xh1, xh2) tensors below hold them one axis further on
+    bd, d = set(term.b_axes) | set(term.cond_axes), set(term.cond_axes)
+    bd_t, d_t = {i + 1 for i in bd}, {i + 1 for i in d}
+    t = np.einsum("xy,xab->xyab", sxy, q)              # p(x, y, a, b)
+    px_q = (px[:, None, None] * q)[:, None, :, :]      # p(x, a, b), dummy y
+    h_y = _entropy_of(t, {1} | bd_t) - _entropy_of(t, {1} | d_t)
+    h_x = _entropy_of(px_q, {0} | bd_t) - _entropy_of(px_q, {0} | d_t)
+    value = max(0.0, h_y - h_x)
+
+    # gradient in nats, then converted to bits; the conditional p(b,d|y)
+    # is formed as one ratio p(y,b,d) / p(y,d) (p(y) when D is empty)
+    num = t.sum(axis=0)                                # p(y, a, b)
+    c = (_sum_out(num, {0} | bd, keepdims=True)
+         / np.maximum(_sum_out(num, {0} | d, keepdims=True), _TINY))
+    g = -np.einsum("xy,yab->xab", sxy, _safe_log(c))
+    q_bd = _sum_out(q, {0} | bd, keepdims=True)
+    if d:
+        q_bd = q_bd / np.maximum(_sum_out(q, {0} | d, keepdims=True), _TINY)
+    g = g + px[:, None, None] * _safe_log(q_bd)
+    return value, np.array(np.broadcast_to(g, q.shape)) / _LN2
+
+
+def batch_joint(source: JointSource, batch: np.ndarray) -> np.ndarray:
+    """p(x, y1, y2, xh1, xh2) per channel of a (B, |X|, m1, m2) batch."""
+    return source.mass[None, :, :, :, None, None] * batch[:, :, None, None, :, :]
+
+
+def _batch_term(joint: np.ndarray, term: MITerm) -> np.ndarray:
+    # joint axes: batch=0, x=1, y1=2, y2=3, xh1=4, xh2=5
+    b = {i + 3 for i in term.b_axes}
+    c = {i + 3 for i in term.cond_axes}
+    if term.y_axis is not None:
+        c.add(term.y_axis + 1)
+
+    def h(keep: set[int]) -> np.ndarray:
+        m = _sum_out(joint, {0} | keep)
+        return entropy_rows(m.reshape(m.shape[0], -1))
+
+    out = h({1} | c) + h(b | c) - h({1} | b | c) - (h(c) if c else 0.0)
+    return np.maximum(out, 0.0)
+
+
+def batch_terms(joint: np.ndarray, terms: tuple[MITerm, ...]) -> np.ndarray:
+    """Sum of the terms in bits per channel of a `batch_joint` tensor."""
+    total = _batch_term(joint, terms[0])
+    for term in terms[1:]:
+        total = total + _batch_term(joint, term)
+    return total

@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .channels import TestChannel
 from .closed_form import DistortionPair
-from .descent import HB_CR_TERMS, MITerm, descent_weighted, descent_hb_cr
+from .descent import descent_weighted, descent_hb_cr
 from .errors import InvalidSpecError
 from .gridsearch import HB_GUARD_DEFAULT, feasible_hb_channel_batches, \
     grid_oracle_hb_cr, grid_oracle_point_cr
+from .measures import HB_CR_TERMS, MITerm, batch_joint, batch_terms
 from .prob import DistortionMetric, FinitePmf, JointSource, check_markov_chain
 
 __all__ = [
@@ -34,9 +35,6 @@ __all__ = [
     "cascade_region_xy1y2",
     "cascade_bounds_xy2y1",
 ]
-
-_LN2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class RatePoint:
@@ -99,57 +97,38 @@ class SamplerConfig:
             raise InvalidSpecError("sampler method must be 'grid' or 'scalarize'")
 
 
-def _batch_entropy(m: np.ndarray) -> np.ndarray:
-    flat = m.reshape(m.shape[0], -1)
-    return -(flat * np.log(flat + (flat <= 0))).sum(axis=1) / _LN2
-
-
-def _batch_cmi(joint: np.ndarray, a: tuple[int, ...], b: tuple[int, ...],
-               c: tuple[int, ...] = ()) -> np.ndarray:
-    """I(A;B|C) per batch entry; joint axes are (batch, x, y1, y2, a, b)."""
-
-    def h(keep: tuple[int, ...]) -> np.ndarray:
-        drop = tuple(i for i in range(1, 6) if i not in keep)
-        return _batch_entropy(joint.sum(axis=drop) if drop else joint)
-
-    ac = tuple(sorted(set(a) | set(c)))
-    bc = tuple(sorted(set(b) | set(c)))
-    abc = tuple(sorted(set(a) | set(b) | set(c)))
-    out = h(ac) + h(bc) - h(abc) - (h(tuple(sorted(c))) if c else 0.0)
-    return np.maximum(out, 0.0)
-
-
 def _channel_sweep(source: JointSource, metric1: DistortionMetric,
                    metric2: DistortionMetric, pair: DistortionPair,
                    config: SamplerConfig,
-                   weight_terms: Sequence[tuple[MITerm, ...]],
-                   ) -> Iterable[tuple[np.ndarray, str]]:
-    """Yield (channel-batch tensor, provenance) per sampler policy.
+                   weight_terms: tuple[tuple[MITerm, ...], tuple[MITerm, ...]],
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray, str]]:
+    """Yield (bound_a, bound_b, provenance) per channel batch of the policy.
 
-    `weight_terms` gives the two bound expressions as term tuples; the
-    scalarized sweep minimizes lambda * bound_a + (1 - lambda) * bound_b.
+    `weight_terms` gives the two bound expressions as term tuples; every
+    swept channel is mapped to both bounds in bits, and the scalarized
+    sweep minimizes lambda * bound_a + (1 - lambda) * bound_b.
     """
+    terms_a, terms_b = weight_terms
+
+    def bounds(batch: np.ndarray, prov: str) -> tuple[np.ndarray, np.ndarray, str]:
+        joint = batch_joint(source, batch)
+        return batch_terms(joint, terms_a), batch_terms(joint, terms_b), prov
+
     for ch in config.seed_channels:
-        yield ch.cond[None, :, :, :], "seed"
+        yield bounds(ch.cond[None, :, :, :], "seed")
     if config.method == "grid":
         for batch in feasible_hb_channel_batches(
                 source, metric1, metric2, pair, config.step, guard=config.guard):
-            yield batch, f"grid(step={config.step})"
+            yield bounds(batch, f"grid(step={config.step})")
         return
-    terms_a, terms_b = weight_terms
-    all_terms = tuple(terms_a) + tuple(terms_b)
     for i in range(config.n_weights):
         lam = i / (config.n_weights - 1) if config.n_weights > 1 else 0.5
         weights = [lam] * len(terms_a) + [1.0 - lam] * len(terms_b)
         init = config.seed_channels[0] if config.seed_channels else None
-        res = descent_weighted(source, metric1, metric2, pair, all_terms,
+        res = descent_weighted(source, metric1, metric2, pair, terms_a + terms_b,
                                weights, restarts=config.restarts,
                                seed=config.seed + i, init=init)
-        yield res.witness.cond[None, :, :, :], f"scalarize(lambda={lam:.2f})"
-
-
-def _compose_batch(source: JointSource, batch: np.ndarray) -> np.ndarray:
-    return source.mass[None, :, :, :, None, None] * batch[:, :, None, None, :, :]
+        yield bounds(res.witness.cond[None, :, :, :], f"scalarize(lambda={lam:.2f})")
 
 
 _COOP12_A = (MITerm((1, 2), 1),)
@@ -168,11 +147,8 @@ def coop_region_xy1y2(source: JointSource, metric1: DistortionMetric,
     if not check_markov_chain(source, ("x", "y1", "y2")):
         raise InvalidSpecError("cooperative region in this direction needs X - Y1 - Y2")
     pts: list[RatePoint] = []
-    for batch, prov in _channel_sweep(source, metric1, metric2, pair, config,
-                                      (_COOP12_A, _COOP12_B)):
-        joint = _compose_batch(source, batch)
-        ra = _batch_cmi(joint, (1,), (4, 5), (2,))
-        rb = _batch_cmi(joint, (1,), (5,), (3,)) + _batch_cmi(joint, (1,), (4,), (2, 5))
+    for ra, rb, prov in _channel_sweep(source, metric1, metric2, pair, config,
+                                       (_COOP12_A, _COOP12_B)):
         for i in range(ra.size):
             pts.append(RatePoint(float(ra[i]), float(max(0.0, rb[i] - ra[i])), prov))
     return RateRegion(points=dominance_filter(pts))
@@ -215,11 +191,8 @@ def cascade_region_xy1y2(source: JointSource, metric1: DistortionMetric,
     if not check_markov_chain(source, ("x", "y1", "y2")):
         raise InvalidSpecError("this cascade direction needs X - Y1 - Y2")
     pts: list[RatePoint] = []
-    for batch, prov in _channel_sweep(source, metric1, metric2, pair, config,
-                                      (_CASC12_A, _CASC12_B)):
-        joint = _compose_batch(source, batch)
-        r1 = _batch_cmi(joint, (1,), (4, 5), (2,))
-        r2 = _batch_cmi(joint, (1,), (5,), (3,))
+    for r1, r2, prov in _channel_sweep(source, metric1, metric2, pair, config,
+                                       (_CASC12_A, _CASC12_B)):
         for i in range(r1.size):
             pts.append(RatePoint(float(r1[i]), float(r2[i]), prov))
     return RateRegion(points=dominance_filter(pts))
@@ -265,11 +238,8 @@ def cascade_bounds_xy2y1(source: JointSource, metric1: DistortionMetric,
     outer = RateRegion(points=(RatePoint(r1c, r2c, "outer-corner"),))
 
     pts: list[RatePoint] = []
-    for batch, prov in _channel_sweep(source, metric1, metric2, pair, config,
-                                      (_CASC21_INNER_A, _CASC21_INNER_B)):
-        joint = _compose_batch(source, batch)
-        g1 = _batch_cmi(joint, (1,), (4,), (2,)) + _batch_cmi(joint, (1,), (5,), (3, 4))
-        g2 = _batch_cmi(joint, (1,), (4, 5), (3,))
+    for g1, g2, prov in _channel_sweep(source, metric1, metric2, pair, config,
+                                       (_CASC21_INNER_A, _CASC21_INNER_B)):
         for i in range(g1.size):
             pts.append(RatePoint(float(g1[i]), float(g2[i]), prov))
     inner = RateRegion(points=dominance_filter(pts))

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 import crrd
 from crrd import (
-    AuxChannel,
     ConRConstraint,
     DistortionMetric,
     InvalidSpecError,
@@ -143,14 +142,6 @@ class TestEvalDistortions:
 
 
 class TestAuxTypes:
-    def test_aux_channel_validation(self):
-        cond = np.full((2, 2, 2), 0.25)
-        dec = np.zeros((2, 3), dtype=int)
-        aux = AuxChannel(cond=cond, dec1=dec, dec2=dec)
-        assert aux.nu1 == 2 and aux.nu2 == 2
-        with pytest.raises(InvalidSpecError):
-            AuxChannel(cond=np.full((2, 2, 2), 0.3), dec1=dec, dec2=dec)
-
     def test_conr_constraint_square_metrics(self, hamming2):
         c = ConRConstraint(0.0, 0.1, hamming2, hamming2)
         assert c.de2 == 0.1

@@ -95,6 +95,24 @@ class TestExitCodes:
                               "--d1", "0.1", "--solver", "grid"], capsys)
         assert rc == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["hb-cr", "--model", "binary-erased:1,0.35", "--d1", ".1", "--d2", ".05",
+         "--sweep", "d1:a:0.2:3"],
+        ["hb-cr", "--model", "binary-erased:1,x", "--d1", ".1", "--d2", ".05"],
+        ["hb-cr", "--model", "gaussian:4,x,3", "--d1", ".1", "--d2", ".05"],
+        ["hb-cr", "--model", "custom:{no_metric1}", "--d1", ".2", "--d2", ".1",
+         "--solver", "grid"],
+    ], ids=["sweep-number", "binary-number", "gaussian-number", "custom-key"])
+    def test_malformed_spec_exits_2(self, argv, tmp_path, capsys):
+        src = crrd.build_erased_source(crrd.BinaryErasureSpec(0.5, 0.35))
+        doc = {"source": json.loads(src.to_json()),
+               "metric2": json.loads(crrd.DistortionMetric.hamming(2).to_json())}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        rc, _, err = run_cli([a.format(no_metric1=path) for a in argv], capsys)
+        assert rc == 2
+        assert "error" in err and "Traceback" not in err
+
     def test_guard_exceeded(self, capsys):
         rc, _, err = run_cli(["hb-cr", "--model", "binary-erased:1,0.35",
                               "--d1", "0.1", "--d2", "0.05", "--solver", "grid",

@@ -14,21 +14,20 @@ from crrd import (
     feasible_channel,
     grid_oracle_hb_cr,
 )
-from crrd.descent import MITerm, _term_value_grad
+from crrd.measures import MITerm, term_value_grad
 from conftest import random_channel, random_source
 
 BSPEC = BinaryErasureSpec(1.0, 0.35)
 RT_B_01005 = 0.5949139291763825
 
-ALL_TERMS = (
-    MITerm((1,), 1),
-    MITerm((2,), 2),
-    MITerm((2,), 2, (1,)),
-    MITerm((1,), 1, (2,)),
-    MITerm((1, 2), 2),
-    MITerm((1, 2), None),
-    MITerm((1,), None),
-)
+#: Every valid term shape: B in {1}, {2}, {1,2}; every condition disjoint
+#: from B; every side information (or none).
+ALL_TERMS = tuple(
+    MITerm(b, y, d)
+    for b in ((1,), (2,), (1, 2))
+    for d in ((), (1,), (2,))
+    if not set(d) & set(b)
+    for y in (None, 1, 2))
 
 
 class TestTermGradients:
@@ -38,17 +37,17 @@ class TestTermGradients:
         src = random_source(rng, 2, 3, 2)
         # interior channel so the logs are smooth
         q = np.stack([rng.dirichlet(np.full(4, 5.0)).reshape(2, 2) for _ in range(2)])
-        val, grad = _term_value_grad(src, q, term)
+        val, grad = term_value_grad(src, q, term)
         eps = 1e-6
         for x in range(2):
             for a in range(2):
                 for b in range(2):
                     qp = q.copy()
                     qp[x, a, b] += eps
-                    vp, _ = _term_value_grad(src, qp, term)
+                    vp, _ = term_value_grad(src, qp, term)
                     qm = q.copy()
                     qm[x, a, b] -= eps
-                    vm, _ = _term_value_grad(src, qm, term)
+                    vm, _ = term_value_grad(src, qm, term)
                     num = (vp - vm) / (2 * eps)
                     assert num == pytest.approx(grad[x, a, b], abs=5e-5), (x, a, b)
 
@@ -58,10 +57,10 @@ class TestTermGradients:
         ch = random_channel(rng)
         joint = crrd.compose_joint(src, ch)
         # term axes map: channel axis 1 -> joint axis 3, 2 -> 4; y1 -> 1, y2 -> 2
-        v, _ = _term_value_grad(src, ch.cond, MITerm((2,), 2, (1,)))
+        v, _ = term_value_grad(src, ch.cond, MITerm((2,), 2, (1,)))
         want = crrd.conditional_mutual_information(joint, (0,), (4,), (2, 3))
         assert v == pytest.approx(want, abs=1e-10)
-        v, _ = _term_value_grad(src, ch.cond, MITerm((1, 2), 1))
+        v, _ = term_value_grad(src, ch.cond, MITerm((1, 2), 1))
         want = crrd.conditional_mutual_information(joint, (0,), (3, 4), (1,))
         assert v == pytest.approx(want, abs=1e-10)
 

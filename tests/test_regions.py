@@ -19,7 +19,8 @@ from crrd import (
     coop_region_xy2y1,
     dominance_filter,
 )
-from conftest import bsc_chain_source
+from crrd import regions
+from conftest import bsc_chain_source, random_channel
 
 RT_B_01005 = 0.5949139291763825
 RCR_B2_005 = 0.2497610650094153
@@ -224,3 +225,52 @@ class TestScalarizedSampler:
         best_grid = min(p.r1 + p.r2 for p in grid_region.points)
         best_sc = min(p.r1 + p.r2 for p in sc_region.points)
         assert best_sc <= best_grid + 1e-3
+
+
+def _reference_bits(joint, terms):
+    """Sum of MITerms via the reference CMI on compose_joint axes
+    (x=0, y1=1, y2=2, xh1=3, xh2=4)."""
+    total = 0.0
+    for t in terms:
+        cond = tuple(i + 2 for i in t.cond_axes)
+        if t.y_axis is not None:
+            cond = (t.y_axis,) + cond
+        total += conditional_mutual_information(
+            joint, (0,), tuple(i + 2 for i in t.b_axes), cond)
+    return total
+
+
+class TestDeclaredBounds:
+    """A seeded channel's point has the coordinates its sampler declares,
+    recomputed term by term with the reference CMI."""
+
+    @pytest.mark.parametrize("sampler, chain, terms_a, terms_b, coop", [
+        (coop_region_xy1y2, "x-y1-y2", regions._COOP12_A, regions._COOP12_B, True),
+        (cascade_region_xy1y2, "x-y1-y2", regions._CASC12_A, regions._CASC12_B, False),
+        (cascade_bounds_xy2y1, "x-y2-y1", regions._CASC21_INNER_A,
+         regions._CASC21_INNER_B, False),
+    ], ids=["coop_xy1y2", "cascade_xy1y2", "cascade_bounds_xy2y1"])
+    def test_seeded_point_matches_reference(self, sampler, chain, terms_a, terms_b,
+                                            coop, hamming2, monkeypatch):
+        mass = bsc_chain_source(0.1, 0.2).mass
+        if chain == "x-y2-y1":
+            mass = np.transpose(mass, (0, 2, 1))
+        src = crrd.JointSource(mass)
+        ch = random_channel(np.random.default_rng(41))
+        seen = []
+
+        def spy(points):
+            seen.extend(points)
+            return dominance_filter(points)
+
+        monkeypatch.setattr(regions, "dominance_filter", spy)
+        cfg = SamplerConfig(method="grid", step=0.5, seed_channels=(ch,))
+        sampler(src, hamming2, hamming2, DistortionPair(0.3, 0.3), cfg)
+        (point,) = [p for p in seen if p.provenance == "seed"]
+        joint = compose_joint(src, ch)
+        want_a = _reference_bits(joint, terms_a)
+        want_b = _reference_bits(joint, terms_b)
+        if coop:
+            want_b = max(0.0, want_b - want_a)
+        assert point.r1 == pytest.approx(want_a, abs=1e-12)
+        assert point.r2 == pytest.approx(want_b, abs=1e-12)
