@@ -18,6 +18,10 @@ combinations per decoder (the encoder map is again pointwise-exact given
 the decoder map); beyond the budget a reduced candidate set is used and
 the result is flagged heuristic.
 
+The objectives are `measures.GridTerms` over the term lists in
+`crrd.measures` (`HB_CR_TERMS`, or `POINT_TERMS` for Wyner-Ziv), with the
+auxiliary in place of the reconstruction.
+
 Because every grid channel of the matching common-reconstruction oracle
 reappears here (take u = xhat and identity maps), these values never
 exceed the CR oracle at the same step, which the test suite checks.
@@ -35,9 +39,8 @@ from .channels import ConRConstraint
 from .closed_form import DistortionPair
 from .errors import GuardExceededError, InfeasibleBudgetError, InvalidSpecError, \
     ShapeMismatchError
-from .gridsearch import POINT_GUARD_DEFAULT, _SLACK, _enumerate_feasible, \
-    _HbObjective, _PointObjective, _Slice, _step_units, simplex_grid
-from .measures import entropy_rows
+from .gridsearch import BATCH, POINT_GUARD_DEFAULT, SLACK, simplex_grid, step_units
+from .measures import HB_CR_TERMS, POINT_TERMS, GridTerms, entropy_rows
 from .prob import DistortionMetric, FinitePmf, JointSource
 
 __all__ = [
@@ -48,16 +51,44 @@ __all__ = [
 ]
 
 
-def _u_slices(nx: int, n_cells: int, k: int, guard: int) -> list[_Slice]:
+def _u_grid(nx: int, n_cells: int, step: float, guard: int) -> np.ndarray:
+    """Grid rows of one auxiliary slice p(u | x), shared by every x."""
+    k = step_units(step)
     count = math.comb(k + n_cells - 1, n_cells - 1)
     if count ** nx > guard:
         raise GuardExceededError(
             f"auxiliary grid has {count ** nx} channels, guard is {guard}",
             count ** nx, guard)
-    rows = simplex_grid(k, n_cells).astype(np.float64) / k
-    s = _Slice(cells=np.arange(n_cells), rows=rows, padded=rows,
-               costs=np.zeros((0, rows.shape[0])), h_row=entropy_rows(rows))
-    return [s] * nx
+    return simplex_grid(k, n_cells).astype(np.float64) / k
+
+
+def _grid_min(rows: np.ndarray, nx: int, objective: GridTerms, *feasible) -> float:
+    """Smallest objective over the channels of the `nx`-fold product of the
+    grid `rows` that pass each `feasible(idx)` mask in turn (inf if none);
+    the product is walked in lexicographic order, `BATCH` channels at a time."""
+    shape = (rows.shape[0],) * nx
+    total = math.prod(shape)
+    best = math.inf
+    for start in range(0, total, BATCH):
+        idx = np.unravel_index(np.arange(start, min(start + BATCH, total)), shape)
+        for keep in feasible:
+            mask = keep(idx)
+            idx = tuple(col[mask] for col in idx)
+        if idx[0].size:
+            best = min(best, float(objective.eval(idx).min()))
+    return best
+
+
+def _hb_grid(source: JointSource, u_caps: tuple[int, int], step: float, guard: int):
+    """Auxiliary grid rows, their U1 and U2 marginals and the two-decoder
+    objective over them."""
+    nu1, nu2 = u_caps
+    rows = _u_grid(source.nx, nu1 * nu2, step, guard)
+    objective = GridTerms(HB_CR_TERMS, source.x_marginal(),
+                          {1: source.xy1_marginal(), 2: source.xy2_marginal()},
+                          [rows] * source.nx, [entropy_rows(rows)] * source.nx, u_caps)
+    table = rows.reshape(-1, nu1, nu2)
+    return rows, table.sum(axis=2), table.sum(axis=1), objective
 
 
 def _map_free_distortion(p_xy: np.ndarray, metric: DistortionMetric) -> float:
@@ -76,18 +107,18 @@ def _map_free_distortion(p_xy: np.ndarray, metric: DistortionMetric) -> float:
     return float(total)
 
 
-def _min_decoder_distortion(p_xy: np.ndarray, m_u: list[np.ndarray],
+def _min_decoder_distortion(p_xy: np.ndarray, m_u: np.ndarray,
                             idx: tuple[np.ndarray, ...],
                             metric: DistortionMetric) -> np.ndarray:
     """Vector over the batch of min_map E[d(X, xhat(U,Y))].
 
-    m_u[x] is the (N, |U|) marginal of the auxiliary for slice x; the best
+    m_u is the (N, |U|) marginal of the auxiliary on the grid rows; the best
     map picks, for each (u, y), the reconstruction minimizing the
     posterior-weighted distortion, which is exact because the budget is a
     sum of independent (u, y) cells.
     """
     nx, ny = p_xy.shape
-    nu = m_u[0].shape[1]
+    nu = m_u.shape[1]
     fin = np.isfinite(metric.matrix)
     d0 = np.where(fin, metric.matrix, 0.0)
     bad = (~fin).astype(float)
@@ -99,7 +130,7 @@ def _min_decoder_distortion(p_xy: np.ndarray, m_u: list[np.ndarray],
             for x in range(nx):
                 if p_xy[x, y] <= 0:
                     continue
-                w = p_xy[x, y] * m_u[x][idx[x], u]   # (B,)
+                w = p_xy[x, y] * m_u[idx[x], u]   # (B,)
                 c = w[:, None] * d0[x][None, :]
                 b = w[:, None] * bad[x][None, :]
                 cost = c if cost is None else cost + c
@@ -126,24 +157,13 @@ def brute_force_wz(pair_pmf: FinitePmf, metric: DistortionMetric, d: float,
     nx = p_xy.shape[0]
     if metric.n_inputs != nx:
         raise ShapeMismatchError("metric rows must equal |X|")
-    if _map_free_distortion(p_xy, metric) <= d + _SLACK:
+    if _map_free_distortion(p_xy, metric) <= d + SLACK:
         return 0.0
-    k = _step_units(step)
-    slices = _u_slices(nx, u_cap, k, guard)
-    rows = [s.padded for s in slices]
-    objective = _PointObjective(p_xy, slices)
-    best = math.inf
-
-    def visit(idx: tuple[np.ndarray, ...]) -> None:
-        nonlocal best
-        ed = _min_decoder_distortion(p_xy, rows, idx, metric)
-        ok = np.flatnonzero(ed <= d + _SLACK + _SLACK * abs(d))
-        if ok.size == 0:
-            return
-        sub = tuple(col[ok] for col in idx)
-        best = min(best, float(objective.eval(sub).min()))
-
-    _enumerate_feasible(slices, np.zeros(0), visit)
+    rows = _u_grid(nx, u_cap, step, guard)
+    objective = GridTerms(POINT_TERMS, p_xy.sum(axis=1), {1: p_xy}, [rows] * nx,
+                          [entropy_rows(rows)] * nx, (u_cap, 1))
+    best = _grid_min(rows, nx, objective, lambda idx: _min_decoder_distortion(
+        p_xy, rows, idx, metric) <= d + SLACK + SLACK * abs(d))
     if not math.isfinite(best):
         raise InfeasibleBudgetError(f"no auxiliary grid channel meets E[d] <= {d}")
     return max(0.0, best)
@@ -163,31 +183,16 @@ def brute_force_hb_nocr(source: JointSource, metric1: DistortionMetric,
         raise InvalidSpecError("auxiliary caps must be >= 1")
     p_xy1 = source.xy1_marginal()
     p_xy2 = source.xy2_marginal()
-    if (_map_free_distortion(p_xy1, metric1) <= pair.d1 + _SLACK
-            and _map_free_distortion(p_xy2, metric2) <= pair.d2 + _SLACK):
+    if (_map_free_distortion(p_xy1, metric1) <= pair.d1 + SLACK
+            and _map_free_distortion(p_xy2, metric2) <= pair.d2 + SLACK):
         return 0.0
-    k = _step_units(step)
-    slices = _u_slices(source.nx, nu1 * nu2, k, guard)
-    m1_rows = [s.padded.reshape(s.n, nu1, nu2).sum(axis=2) for s in slices]
-    m2_rows = [s.padded.reshape(s.n, nu1, nu2).sum(axis=1) for s in slices]
-    objective = _HbObjective(source, slices, nu1, nu2)
-    best = math.inf
-
-    def visit(idx: tuple[np.ndarray, ...]) -> None:
-        nonlocal best
-        ed1 = _min_decoder_distortion(p_xy1, m1_rows, idx, metric1)
-        ok = ed1 <= pair.d1 + _SLACK + _SLACK * abs(pair.d1)
-        if not ok.any():
-            return
-        sub = tuple(col[ok] for col in idx)
-        ed2 = _min_decoder_distortion(p_xy2, m2_rows, sub, metric2)
-        ok2 = ed2 <= pair.d2 + _SLACK + _SLACK * abs(pair.d2)
-        if not ok2.any():
-            return
-        sub = tuple(col[ok2] for col in sub)
-        best = min(best, float(objective.eval(sub).min()))
-
-    _enumerate_feasible(slices, np.zeros(0), visit)
+    rows, m1_rows, m2_rows, objective = _hb_grid(source, u_caps, step, guard)
+    best = _grid_min(
+        rows, source.nx, objective,
+        lambda idx: _min_decoder_distortion(p_xy1, m1_rows, idx, metric1)
+        <= pair.d1 + SLACK + SLACK * abs(pair.d1),
+        lambda idx: _min_decoder_distortion(p_xy2, m2_rows, idx, metric2)
+        <= pair.d2 + SLACK + SLACK * abs(pair.d2))
     if not math.isfinite(best):
         raise InfeasibleBudgetError(f"no auxiliary grid channel meets budgets {pair}")
     return max(0.0, best)
@@ -268,6 +273,33 @@ def _conr_cost_tables(maps: np.ndarray, p_xy: np.ndarray, px: np.ndarray,
     return cd, ce
 
 
+def _side_feasible(m_u: np.ndarray, idx: tuple[np.ndarray, ...], cd: np.ndarray,
+                   ce: np.ndarray, d_budget: float, e_budget: float) -> np.ndarray:
+    """(B,) bool: some map of the `_conr_cost_tables` (cd, ce) meets both
+    budgets; m_u is the (N, |U|) auxiliary marginal on the grid rows."""
+    b = idx[0].size
+    mu = np.stack([m_u[i] for i in idx], axis=2)  # (B, nu, nx)
+    # pointwise-over-maps relaxation prunes before the exact scan
+    lb_d = np.einsum("bux,ux->b", mu, cd.min(axis=0))
+    lb_e = np.einsum("bux,ux->b", mu, ce.min(axis=0))
+    cand = (lb_d <= d_budget + SLACK) & (lb_e <= e_budget + SLACK)
+    out = np.zeros(b, dtype=bool)
+    live = np.flatnonzero(cand)
+    if live.size == 0:
+        return out
+    mu_live = mu[live]
+    undecided = np.ones(live.size, dtype=bool)
+    for m in range(cd.shape[0]):
+        if not undecided.any():
+            break
+        ed = np.einsum("bux,ux->b", mu_live, cd[m])
+        ee = np.einsum("bux,ux->b", mu_live, ce[m])
+        hit = undecided & (ed <= d_budget + SLACK) & (ee <= e_budget + SLACK)
+        out[live[hit]] = True
+        undecided &= ~hit
+    return out
+
+
 def brute_force_conr(source: JointSource, metric1: DistortionMetric,
                      metric2: DistortionMetric, pair: DistortionPair,
                      conr: ConRConstraint, u_caps: tuple[int, int] = (2, 2),
@@ -289,59 +321,20 @@ def brute_force_conr(source: JointSource, metric1: DistortionMetric,
         raise ShapeMismatchError("metric_e1 must act on the first reconstruction alphabet")
     if conr.metric_e2.n_inputs != metric2.n_outputs:
         raise ShapeMismatchError("metric_e2 must act on the second reconstruction alphabet")
-    k = _step_units(step)
     px = source.x_marginal()
     p_xy1 = source.xy1_marginal()
     p_xy2 = source.xy2_marginal()
-    slices = _u_slices(source.nx, nu1 * nu2, k, guard)
-    m1_rows = [s.padded.reshape(s.n, nu1, nu2).sum(axis=2) for s in slices]
-    m2_rows = [s.padded.reshape(s.n, nu1, nu2).sum(axis=1) for s in slices]
+    rows, m1_rows, m2_rows, objective = _hb_grid(source, u_caps, step, guard)
 
     maps1, heur1 = _decoder_maps(nu1, source.ny1, metric1.n_outputs, map_budget)
     maps2, heur2 = _decoder_maps(nu2, source.ny2, metric2.n_outputs, map_budget)
     cd1, ce1 = _conr_cost_tables(maps1, p_xy1, px, metric1, conr.metric_e1)
     cd2, ce2 = _conr_cost_tables(maps2, p_xy2, px, metric2, conr.metric_e2)
 
-    objective = _HbObjective(source, slices, nu1, nu2)
-    best = math.inf
-
-    def side_feasible(m_rows: list[np.ndarray], idx, cd, ce, d_budget, e_budget):
-        """(B,) bool: some decoder map meets both budgets."""
-        b = idx[0].size
-        mu = np.stack([m_rows[x][idx[x]] for x in range(source.nx)], axis=2)  # (B, nu, nx)
-        # pointwise-over-maps relaxation prunes before the exact scan
-        lb_d = np.einsum("bux,ux->b", mu, cd.min(axis=0))
-        lb_e = np.einsum("bux,ux->b", mu, ce.min(axis=0))
-        cand = (lb_d <= d_budget + _SLACK) & (lb_e <= e_budget + _SLACK)
-        out = np.zeros(b, dtype=bool)
-        live = np.flatnonzero(cand)
-        if live.size == 0:
-            return out
-        mu_live = mu[live]
-        undecided = np.ones(live.size, dtype=bool)
-        for m in range(cd.shape[0]):
-            if not undecided.any():
-                break
-            ed = np.einsum("bux,ux->b", mu_live, cd[m])
-            ee = np.einsum("bux,ux->b", mu_live, ce[m])
-            hit = undecided & (ed <= d_budget + _SLACK) & (ee <= e_budget + _SLACK)
-            out[live[hit]] = True
-            undecided &= ~hit
-        return out
-
-    def visit(idx: tuple[np.ndarray, ...]) -> None:
-        nonlocal best
-        ok1 = side_feasible(m1_rows, idx, cd1, ce1, pair.d1, conr.de1)
-        if not ok1.any():
-            return
-        sub = tuple(col[ok1] for col in idx)
-        ok2 = side_feasible(m2_rows, sub, cd2, ce2, pair.d2, conr.de2)
-        if not ok2.any():
-            return
-        sub = tuple(col[ok2] for col in sub)
-        best = min(best, float(objective.eval(sub).min()))
-
-    _enumerate_feasible(slices, np.zeros(0), visit)
+    best = _grid_min(
+        rows, source.nx, objective,
+        lambda idx: _side_feasible(m1_rows, idx, cd1, ce1, pair.d1, conr.de1),
+        lambda idx: _side_feasible(m2_rows, idx, cd2, ce2, pair.d2, conr.de2))
     if not math.isfinite(best):
         raise InfeasibleBudgetError("no auxiliary grid channel meets the ConR budgets")
     return ConRResult(rate=max(0.0, best), heuristic=heur1 or heur2,

@@ -50,35 +50,38 @@ def _fmt(v: Any) -> str:
     return str(v)
 
 
+def _write(text: str, path: str | None) -> None:
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+
 def emit_csv(doc: dict, path: str | None) -> None:
     """Write the result table; 6 significant digits, LF endings, UTF-8."""
     lines = [",".join(doc["columns"])]
     for row in doc["rows"]:
         lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", path)
 
 
 def emit_json(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", path)
 
 
 def _number(value: Any, field: str, kind: type = float) -> Any:
     """`kind(value)`, or InvalidSpecError naming the spec field."""
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidSpecError(
             f"{field} must be {kind.__name__}, got {value!r}") from None
+
+
+def _get(spec: dict, key: str, default: Any, kind: type = float) -> Any:
+    """Numeric spec field `key` (or `default` when absent) as `kind`."""
+    return _number(spec.get(key, default), key, kind)
 
 
 def _field(doc: dict, key: str) -> Any:
@@ -90,7 +93,7 @@ def _field(doc: dict, key: str) -> Any:
 
 
 def _parse_model(text: str) -> dict:
-    if ":" not in text:
+    if not isinstance(text, str) or ":" not in text:
         raise InvalidSpecError(f"model must look like name:args, got {text!r}")
     name, args = text.split(":", 1)
     name = name.strip().lower().replace("_", "-")
@@ -124,7 +127,7 @@ def _metric_from_doc(doc: dict) -> DistortionMetric:
 
 def _binary_metric(name: str) -> BinaryMetric:
     try:
-        return BinaryMetric[name.strip().upper()]
+        return BinaryMetric[str(name).strip().upper()]
     except KeyError as exc:
         raise InvalidSpecError(f"metric must be hamming or erasure, got {name!r}") from exc
 
@@ -146,7 +149,7 @@ def _erased_pair_pmf(p: float) -> FinitePmf:
 def _sweep_values(spec: dict) -> tuple[str, list[float]]:
     sw = spec.get("sweep")
     if not sw:
-        return "d1", [_number(spec.get("d1", 0.0), "d1")]
+        return "d1", [_get(spec, "d1", 0.0)]
     if isinstance(sw, str):
         parts = sw.split(":")
         if len(parts) != 4:
@@ -166,15 +169,11 @@ def _sweep_values(spec: dict) -> tuple[str, list[float]]:
 
 
 def _budget_pair(spec: dict, var: str, value: float) -> DistortionPair:
-    d1 = float(spec.get("d1", 0.0))
-    d2 = float(spec.get("d2", 0.0))
-    if var == "d1":
-        d1 = value
-    elif var == "d2":
-        d2 = value
-    else:
+    pair = {"d1": _get(spec, "d1", 0.0), "d2": _get(spec, "d2", 0.0)}
+    if var not in pair:
         raise InvalidSpecError(f"unsupported sweep variable {var!r}")
-    return DistortionPair(d1, d2)
+    pair[var] = value
+    return DistortionPair(**pair)
 
 
 def _solver_list(spec: dict, allowed: tuple[str, ...], default: str) -> list[str]:
@@ -218,8 +217,7 @@ def _point_instance(spec: dict) -> tuple[FinitePmf, DistortionMetric]:
         return pmf, _metric_objects(_binary_metric(spec.get("metric", "hamming")))
     if model["kind"] == "custom":
         doc = model["doc"]
-        pair_pmf = _field(doc, "pair_pmf")
-        pmf = FinitePmf(np.asarray(pair_pmf["pmf"]).reshape(pair_pmf["alphabets"]))
+        pmf = FinitePmf.from_json(json.dumps(_field(doc, "pair_pmf")))
         return pmf, _metric_from_doc(_field(doc, "metric"))
     raise InvalidSpecError("point-to-point solver needs a finite-alphabet model")
 
@@ -242,7 +240,7 @@ def run_point_cr(spec: dict) -> dict:
     allowed = ("closed_form", "grid")
     rows = []
     solvers = _solver_list(spec, allowed, "closed_form")
-    step = float(spec.get("step", 0.01))
+    step = _get(spec, "step", 0.01)
     for value in values:
         for solver in solvers:
             if solver == "closed_form":
@@ -266,9 +264,9 @@ def run_hb_cr(spec: dict) -> dict:
     model = spec["model"]
     var, values = _sweep_values(spec)
     solvers = _solver_list(spec, ("closed_form", "grid", "descent"), "closed_form")
-    step = float(spec.get("step", 0.02))
-    restarts = int(spec.get("restarts", 8))
-    seed = int(spec.get("seed", 0))
+    step = _get(spec, "step", 0.02)
+    restarts = _get(spec, "restarts", 8, int)
+    seed = _get(spec, "seed", 0, int)
     rows = []
     for value in values:
         pair = _budget_pair(spec, var, value)
@@ -289,7 +287,7 @@ def run_hb_cr(spec: dict) -> dict:
                 src, m1, m2 = _finite_instance(spec)
                 if solver == "grid":
                     rate, _ = grid_oracle_hb_cr(src, m1, m2, pair, step,
-                                                guard=int(spec.get("guard", HB_GUARD_DEFAULT)))
+                                                guard=_get(spec, "guard", HB_GUARD_DEFAULT, int))
                 else:
                     rate = descent_hb_cr(src, m1, m2, pair, restarts=restarts, seed=seed,
                                          init=_binary_seed_channel(spec, pair)).rate
@@ -308,10 +306,10 @@ def _sampler_config(spec: dict) -> SamplerConfig:
     method = "grid" if str(spec.get("solver", "grid")).lower() == "grid" else "scalarize"
     return SamplerConfig(
         method=method,
-        step=float(spec.get("step", 0.1)),
-        n_weights=int(spec.get("weights", 11)),
-        restarts=int(spec.get("restarts", 4)),
-        seed=int(spec.get("seed", 0)),
+        step=_get(spec, "step", 0.1),
+        n_weights=_get(spec, "weights", 11, int),
+        restarts=_get(spec, "restarts", 4, int),
+        seed=_get(spec, "seed", 0, int),
     )
 
 
@@ -391,10 +389,10 @@ def run_cascade_cr(spec: dict) -> dict:
 def run_conr(spec: dict) -> dict:
     src, m1, m2 = _finite_instance(spec)
     var, values = _sweep_values(spec)
-    step = float(spec.get("step", 0.05))
-    caps = (int(spec.get("u1_cap", 2)), int(spec.get("u2_cap", 2)))
-    de1 = float(spec.get("de1", 0.0))
-    de2 = float(spec.get("de2", 0.0))
+    step = _get(spec, "step", 0.05)
+    caps = (_get(spec, "u1_cap", 2, int), _get(spec, "u2_cap", 2, int))
+    de1 = _get(spec, "de1", 0.0)
+    de2 = _get(spec, "de2", 0.0)
     conr = ConRConstraint(de1, de2,
                           DistortionMetric.hamming(m1.n_outputs),
                           DistortionMetric.hamming(m2.n_outputs))
@@ -404,7 +402,7 @@ def run_conr(spec: dict) -> dict:
     for value in values:
         pair = _budget_pair(spec, var, value)
         res = brute_force_conr(src, m1, m2, pair, conr, u_caps=caps, step=step,
-                               map_budget=int(spec.get("map_budget", 1_000_000)))
+                               map_budget=_get(spec, "map_budget", 1_000_000, int))
         flags = []
         if res.heuristic:
             flags.append("heuristic")
@@ -422,8 +420,8 @@ def run_conr(spec: dict) -> dict:
 def run_hb_nocr(spec: dict) -> dict:
     src, m1, m2 = _finite_instance(spec)
     var, values = _sweep_values(spec)
-    step = float(spec.get("step", 0.05))
-    caps = (int(spec.get("u1_cap", 2)), int(spec.get("u2_cap", 2)))
+    step = _get(spec, "step", 0.05)
+    caps = (_get(spec, "u1_cap", 2, int), _get(spec, "u2_cap", 2, int))
     rows = []
     for value in values:
         pair = _budget_pair(spec, var, value)
@@ -438,8 +436,8 @@ def run_wz(spec: dict) -> dict:
     var, values = _sweep_values(spec)
     if var != "d1":
         raise InvalidSpecError("wz sweeps d1 only")
-    step = float(spec.get("step", 0.05))
-    cap = int(spec.get("u_cap", 3))
+    step = _get(spec, "step", 0.05)
+    cap = _get(spec, "u_cap", 3, int)
     pmf, met = _point_instance(spec)
     rows = []
     for value in values:
@@ -466,7 +464,7 @@ def run_degradedness(spec: dict) -> dict:
 
 
 def run_figure(spec: dict) -> dict:
-    fid = int(spec.get("id", 0))
+    fid = _get(spec, "id", 0, int)
     if fid == 6:
         gspec = GaussianSpec(4.0, 2.0, 3.0)
         d1_values = [round(0.1 * i, 10) for i in range(1, 61)]
@@ -483,8 +481,8 @@ def run_figure(spec: dict) -> dict:
         bspec = BinaryErasureSpec(1.0, 0.35)
         src = build_erased_source(bspec)
         met = DistortionMetric.hamming(2)
-        step = float(spec.get("step", 0.05))
-        caps = (int(spec.get("u1_cap", 2)), int(spec.get("u2_cap", 2)))
+        step = _get(spec, "step", 0.05)
+        caps = (_get(spec, "u1_cap", 2, int), _get(spec, "u2_cap", 2, int))
         d1_values = [0.05, 0.1, 0.2, 0.35, 0.5]
         rows = []
         for d2 in (0.05, 0.3):
@@ -539,6 +537,8 @@ def run_command(command: str, spec: dict) -> dict:
     """Resolve and execute one subcommand; returns the result document."""
     if command not in _RUNNERS:
         raise InvalidSpecError(f"unknown command {command!r}")
+    if command != "figure" and "model" not in spec:
+        raise InvalidSpecError(f"{command} needs a model")
     return _RUNNERS[command](spec)
 
 
@@ -579,14 +579,17 @@ def _resolve_spec(ns: argparse.Namespace) -> dict:
     spec: dict[str, Any] = {}
     if ns.spec:
         with open(ns.spec, encoding="utf-8") as fh:
-            spec.update(json.load(fh))
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise InvalidSpecError("spec file must hold a JSON object")
+        spec.update(doc)
     for key in ("model", "d1", "d2", "de1", "de2", "sweep", "solver", "metric",
                 "chain", "step", "restarts", "weights", "seed", "u_cap",
                 "u1_cap", "u2_cap", "map_budget", "guard", "id", "format"):
         val = getattr(ns, key, None)
         if val is not None:
             spec[key] = val
-    if isinstance(spec.get("model"), str):
+    if "model" in spec:
         spec["model"] = _parse_model(spec["model"])
     return spec
 
@@ -607,15 +610,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"crrd {ns.command}: {len(doc['rows'])} rows in {wall:.2f}s",
               file=sys.stderr)
         return 0
-    except InfeasibleBudgetError as exc:
+    except (CrrdError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except GuardExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (InvalidSpecError, CrrdError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return {InfeasibleBudgetError: 3, GuardExceededError: 4}.get(type(exc), 2)
 
 
 if __name__ == "__main__":

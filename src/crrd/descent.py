@@ -25,7 +25,7 @@ from scipy.optimize import linprog
 
 from .channels import TestChannel
 from .closed_form import DistortionPair
-from .errors import InfeasibleBudgetError
+from .errors import InfeasibleBudgetError, InvalidSpecError
 from .measures import HB_CR_TERMS, MITerm, term_value_grad
 from .prob import DistortionMetric, JointSource
 
@@ -185,6 +185,8 @@ def descent_weighted(source: JointSource, metric1: DistortionMetric,
     LP feasible point, and `restarts` random projected channels; returns
     the best local minimum with its witness.
     """
+    if restarts < 0 or seed < 0:
+        raise InvalidSpecError("restarts and seed must be >= 0")
     weights = np.asarray(weights, dtype=float)
     feas = _Feasible(source, metric1, metric2, pair)
     rng = np.random.default_rng(seed)

@@ -13,11 +13,10 @@ channels rather than the full product grid: rows are prefiltered by their
 own distortion contribution, partners are scanned through a cost-sorted
 prefix, and a zero-rate shortcut answers loose budgets outright (if any
 constant channel on the grid is feasible, the minimum is exactly 0).
-Objective evaluation is vectorized over batches of channels using a
-factored form of the conditional mutual informations: only the mixture
-entropies over side-information symbols seen from more than one source
-symbol are recomputed per channel; everything else is gathered from
-per-row precomputations.
+The objective is `measures.GridTerms` over `HB_CR_TERMS` (or `POINT_TERMS`
+for one decoder): per channel it recomputes only the mixture entropies over
+side symbols seen from several source symbols and gathers everything else
+from per-row precomputations.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .channels import TestChannel
 from .closed_form import DistortionPair
 from .errors import GuardExceededError, InfeasibleBudgetError, InvalidSpecError, \
     ShapeMismatchError
-from .measures import entropy_rows
+from .measures import HB_CR_TERMS, POINT_TERMS, GridTerms, MITerm, entropy_rows
 from .prob import DistortionMetric, FinitePmf, JointSource
 
 __all__ = [
@@ -42,8 +41,8 @@ __all__ = [
     "feasible_hb_channel_batches",
 ]
 
-_SLACK = 1e-12
-_BATCH = 2_000_000
+SLACK = 1e-12
+BATCH = 2_000_000
 
 POINT_GUARD_DEFAULT = 10_000_000
 #: The two-decoder grid at the default step has ~5.5e8 product points for
@@ -69,11 +68,7 @@ def simplex_grid(units: int, cells: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _grid_size(units: int, cells: int) -> int:
-    return math.comb(units + cells - 1, cells - 1)
-
-
-def _step_units(step: float) -> int:
+def step_units(step: float) -> int:
     if not (0 < step <= 1):
         raise InvalidSpecError(f"step must lie in (0, 1], got {step}")
     k = int(round(1.0 / step))
@@ -87,14 +82,13 @@ class _Slice:
     """Grid rows of one conditional slice plus everything the evaluators need."""
 
     cells: np.ndarray        # flat indices of allowed cells in the full space
-    rows: np.ndarray         # (N, len(cells)) grid rows on the support
-    padded: np.ndarray       # (N, n_full) rows embedded in the full cell space
+    padded: np.ndarray       # (N, n_full) grid rows embedded in the full cell space
     costs: np.ndarray        # (n_budgets, N) distortion contribution, p(x)-weighted
     h_row: np.ndarray        # (N,) entropy of the row
 
     @property
     def n(self) -> int:
-        return self.rows.shape[0]
+        return self.padded.shape[0]
 
 
 def _build_slice(units: int, allowed_flat: np.ndarray, n_full: int,
@@ -106,8 +100,7 @@ def _build_slice(units: int, allowed_flat: np.ndarray, n_full: int,
     padded = np.zeros((rows.shape[0], n_full))
     padded[:, cells] = rows
     costs = np.stack([rows @ cv[cells] for cv in cost_vectors])
-    return _Slice(cells=cells, rows=rows, padded=padded, costs=costs,
-                  h_row=entropy_rows(rows))
+    return _Slice(cells=cells, padded=padded, costs=costs, h_row=entropy_rows(rows))
 
 
 def _zero_rate_witness(slices: list[_Slice], n_full: int, units: int,
@@ -129,7 +122,7 @@ def _zero_rate_witness(slices: list[_Slice], n_full: int, units: int,
         total = np.zeros(rows.shape[0])
         for x in range(len(slices)):
             total += rows @ cost_cells[j][x][common]
-        ok &= total <= budget + _SLACK + _SLACK * abs(budget)
+        ok &= total <= budget + SLACK + SLACK * abs(budget)
     hits = np.flatnonzero(ok)
     if hits.size == 0:
         return None
@@ -140,15 +133,15 @@ def _zero_rate_witness(slices: list[_Slice], n_full: int, units: int,
 
 def _enumerate_feasible(slices: list[_Slice], budgets: np.ndarray,
                         emit: Callable[[tuple[np.ndarray, ...]], None],
-                        batch: int = _BATCH) -> int:
-    """Drive `emit` over every grid channel meeting all budgets.
+                        batch: int = BATCH) -> int:
+    """Drive `emit` over every grid channel meeting all (one or more) budgets.
 
     Returns the number of channels emitted.  Work scales with the number
     of feasible channels, not the full product.
     """
     nx = len(slices)
     nb = budgets.size
-    slack = _SLACK + _SLACK * np.abs(budgets)
+    slack = SLACK + SLACK * np.abs(budgets)
     lim = budgets + slack
 
     total = 0
@@ -164,29 +157,6 @@ def _enumerate_feasible(slices: list[_Slice], budgets: np.ndarray,
             emit(tuple(c[s:s + batch] for c in cols))
         total += cols[0].size
         pend, pend_n = [], 0
-
-    if nx == 1:
-        ok = np.ones(slices[0].n, dtype=bool)
-        for j in range(nb):
-            ok &= slices[0].costs[j] <= lim[j]
-        idx = np.flatnonzero(ok)
-        for s in range(0, idx.size, batch):
-            emit((idx[s:s + batch],))
-        return int(idx.size)
-
-    if nb == 0:
-        # unconstrained product: odometer over all but the last slice
-        last = np.arange(slices[-1].n, dtype=np.int64)
-        sizes = [s.n for s in slices[:-1]]
-        for combo in np.ndindex(*sizes):
-            cols = [np.full(last.size, c, dtype=np.int64) for c in combo]
-            cols.append(last)
-            pend.append(cols)
-            pend_n += last.size
-            if pend_n >= batch:
-                flush()
-        flush()
-        return total
 
     mins = np.array([[s.costs[j].min() for s in slices] for j in range(nb)])
 
@@ -228,7 +198,7 @@ def _enumerate_feasible(slices: list[_Slice], budgets: np.ndarray,
         flush()
         return total
 
-    # generic depth-first product for three or more source symbols
+    # generic depth-first product for any other number of source symbols
     later_min = np.zeros((nb, nx + 1))
     for x in range(nx - 1, -1, -1):
         later_min[:, x] = later_min[:, x + 1] + mins[:, x]
@@ -264,92 +234,14 @@ def _enumerate_feasible(slices: list[_Slice], budgets: np.ndarray,
     return total
 
 
-class _MixEntropyTerms:
-    """Per-channel value of sum_y p(y) H(mix of slice rows) for one side axis.
-
-    Columns of p(x, y) seen from a single source symbol reduce to gathers
-    of per-row entropies; the rest are genuine mixtures.
-    """
-
-    def __init__(self, p_xy: np.ndarray, row_arrays: list[np.ndarray]):
-        self.p_xy = p_xy
-        self.rows = row_arrays
-        self.h_rows = [entropy_rows(r) for r in row_arrays]
-        self.pure: list[tuple[float, int]] = []
-        self.mixed: list[tuple[float, np.ndarray]] = []
-        py = p_xy.sum(axis=0)
-        for y in range(p_xy.shape[1]):
-            if py[y] <= 0:
-                continue
-            supp = np.flatnonzero(p_xy[:, y] > 0)
-            if supp.size == 1:
-                self.pure.append((float(py[y]), int(supp[0])))
-            else:
-                self.mixed.append((float(py[y]), p_xy[:, y] / py[y]))
-
-    def eval(self, idx: tuple[np.ndarray, ...]) -> np.ndarray:
-        out = np.zeros(idx[0].size)
-        for w, x in self.pure:
-            out += w * self.h_rows[x][idx[x]]
-        for w, cond in self.mixed:
-            mix = None
-            for x, wx in enumerate(cond):
-                if wx <= 0:
-                    continue
-                part = wx * self.rows[x][idx[x]]
-                mix = part if mix is None else mix + part
-            out += w * entropy_rows(mix)
-        return out
-
-
-class _PointObjective:
-    """Vectorized I(X;Xhat|Y) over batches of grid channels."""
-
-    def __init__(self, p_xy: np.ndarray, slices: list[_Slice]):
-        self.px = p_xy.sum(axis=1)
-        self.slices = slices
-        self.side = _MixEntropyTerms(p_xy, [s.padded for s in slices])
-
-    def eval(self, idx: tuple[np.ndarray, ...]) -> np.ndarray:
-        f = self.side.eval(idx)
-        for x, s in enumerate(self.slices):
-            f -= self.px[x] * s.h_row[idx[x]]
-        return f
-
-
-class _HbObjective:
-    """Vectorized I(X;A|Y1) + I(X;B|Y2,A) over batches of grid channels.
-
-    Factored as sum_y1 p(y1) H(A|y1 mix) + sum_y2 p(y2) [H(AB|y2 mix) -
-    H(A|y2 mix)] - sum_x p(x) H(AB|x); all conditional-entropy terms whose
-    conditioning includes X reduce to per-row gathers.
-    """
-
-    def __init__(self, source: JointSource, slices: list[_Slice],
-                 m1: int, m2: int):
-        self.px = source.x_marginal()
-        self.slices = slices
-        marg1 = [s.padded.reshape(s.n, m1, m2).sum(axis=2) for s in slices]
-        self.term_y1 = _MixEntropyTerms(source.xy1_marginal(), marg1)
-        p_xy2 = source.xy2_marginal()
-        self.term_y2_joint = _MixEntropyTerms(p_xy2, [s.padded for s in slices])
-        self.term_y2_marg = _MixEntropyTerms(p_xy2, marg1)
-
-    def eval(self, idx: tuple[np.ndarray, ...]) -> np.ndarray:
-        f = self.term_y1.eval(idx)
-        f += self.term_y2_joint.eval(idx)
-        f -= self.term_y2_marg.eval(idx)
-        for x, s in enumerate(self.slices):
-            f -= self.px[x] * s.h_row[idx[x]]
-        return f
-
-
 class _Minimizer:
-    """Tracks the smallest batch value; ties go to the lexicographically
-    smallest channel (concatenated padded rows)."""
+    """Tracks the smallest batch value of `terms`; ties go to the
+    lexicographically smallest channel (concatenated padded rows)."""
 
-    def __init__(self, objective, slices: list[_Slice]):
-        self.objective = objective
+    def __init__(self, slices: list[_Slice], terms: tuple[MITerm, ...], px: np.ndarray,
+                 p_xy_by_axis: dict[int, np.ndarray], shape: tuple[int, int]):
+        self.objective = GridTerms(terms, px, p_xy_by_axis, [s.padded for s in slices],
+                                   [s.h_row for s in slices], shape)
         self.slices = slices
         self.best = math.inf
         self.best_idx: tuple[int, ...] | None = None
@@ -375,7 +267,7 @@ def _check_guard_counts(support_sizes: list[int], units: int, guard: int) -> Non
     """Reject oversized product grids before any row array is built."""
     prod = 1
     for ns in support_sizes:
-        prod *= _grid_size(units, ns)
+        prod *= math.comb(units + ns - 1, ns - 1)
         if prod > guard:
             raise GuardExceededError(
                 f"grid has {prod}+ channels, guard is {guard}", prod, guard)
@@ -398,7 +290,7 @@ def grid_oracle_point_cr(pair_pmf: FinitePmf, metric: DistortionMetric,
     nx = p_xy.shape[0]
     if metric.n_inputs != nx:
         raise ShapeMismatchError("metric rows must equal |X|")
-    k = _step_units(step)
+    k = step_units(step)
     px = p_xy.sum(axis=1)
     n_full = metric.n_outputs
     _check_guard_counts([int(np.isfinite(metric.matrix[x]).sum())
@@ -414,7 +306,7 @@ def grid_oracle_point_cr(pair_pmf: FinitePmf, metric: DistortionMetric,
     if _zero_rate_witness(slices, n_full, k, cost_full, budgets) is not None:
         return 0.0
 
-    minimizer = _Minimizer(_PointObjective(p_xy, slices), slices)
+    minimizer = _Minimizer(slices, POINT_TERMS, px, {1: p_xy}, (n_full, 1))
     n = _enumerate_feasible(slices, budgets, minimizer)
     if n == 0 or not math.isfinite(minimizer.best):
         raise InfeasibleBudgetError(
@@ -458,7 +350,7 @@ def grid_oracle_hb_cr(source: JointSource, metric1: DistortionMetric,
     p(xh1,xh2|x) meeting both distortion budgets; returns the minimum and
     the achieving channel.
     """
-    k = _step_units(step)
+    k = step_units(step)
     slices, cost_full, m1, m2 = _hb_slices(source, metric1, metric2, k, guard)
     budgets = np.array([pair.d1, pair.d2])
     nx = source.nx
@@ -468,7 +360,8 @@ def grid_oracle_hb_cr(source: JointSource, metric1: DistortionMetric,
         cond = np.tile(row.reshape(1, m1, m2), (nx, 1, 1))
         return 0.0, TestChannel(cond)
 
-    minimizer = _Minimizer(_HbObjective(source, slices, m1, m2), slices)
+    minimizer = _Minimizer(slices, HB_CR_TERMS, source.x_marginal(),
+                           {1: source.xy1_marginal(), 2: source.xy2_marginal()}, (m1, m2))
     n = _enumerate_feasible(slices, budgets, minimizer)
     if n == 0 or not math.isfinite(minimizer.best):
         raise InfeasibleBudgetError(
@@ -489,7 +382,7 @@ def feasible_hb_channel_batches(
     channel.  Here the guard caps the number of feasible channels (the
     sweep must hold them all), not the product grid.
     """
-    k = _step_units(step)
+    k = step_units(step)
     slices, _, m1, m2 = _hb_slices(source, metric1, metric2, k, HB_GUARD_DEFAULT)
     budgets = np.array([pair.d1, pair.d2])
     cols: list[tuple[np.ndarray, ...]] = []

@@ -15,7 +15,10 @@ module evaluates term lists in the two forms the solvers need:
   both denominators are dropped when D is empty);
 
 * on a batch of channels, through the joint tensor with axes
-  (batch, x, y1, y2, xh1, xh2), for the region samplers.
+  (batch, x, y1, y2, xh1, xh2), for the region samplers;
+
+* on batches of grid channels given as row indices, in a factored form
+  (`GridTerms`), for the grid oracles and the brute-force solvers.
 
 `prob.conditional_mutual_information` is deliberately a separate
 implementation: it is the independent reference that the evaluators in
@@ -25,6 +28,7 @@ implementation: it is the independent reference that the evaluators in
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +39,12 @@ from .prob import JointSource
 __all__ = [
     "MITerm",
     "HB_CR_TERMS",
+    "POINT_TERMS",
     "entropy_rows",
     "term_value_grad",
     "batch_joint",
     "batch_terms",
+    "GridTerms",
 ]
 
 _LN2 = math.log(2.0)
@@ -69,6 +75,10 @@ class MITerm:
 
 #: Terms of the broadcast CR objective I(X;Xh1|Y1) + I(X;Xh2|Y2,Xh1).
 HB_CR_TERMS: tuple[MITerm, ...] = (MITerm((1,), 1), MITerm((2,), 2, (1,)))
+
+#: The point-to-point objective I(X;Xh|Y1), its reconstruction laid out as
+#: an (m, 1) two-decoder channel.
+POINT_TERMS: tuple[MITerm, ...] = (MITerm((1, 2), 1),)
 
 
 def entropy_rows(a: np.ndarray) -> np.ndarray:
@@ -149,3 +159,89 @@ def batch_terms(joint: np.ndarray, terms: tuple[MITerm, ...]) -> np.ndarray:
     for term in terms[1:]:
         total = total + _batch_term(joint, term)
     return total
+
+
+class _MixEntropyTerms:
+    """Per-channel value of scale * sum_y p(y) H(mix of slice rows) for one
+    side axis.
+
+    Columns of p(x, y) seen from a single source symbol reduce to gathers
+    of per-row entropies; the rest are genuine mixtures.
+    """
+
+    def __init__(self, p_xy: np.ndarray, row_arrays: list[np.ndarray], scale: int = 1):
+        self.rows = row_arrays
+        self.h_rows = [entropy_rows(r) for r in row_arrays]
+        self.pure: list[tuple[float, int]] = []
+        self.mixed: list[tuple[float, np.ndarray]] = []
+        py = p_xy.sum(axis=0)
+        for y in range(p_xy.shape[1]):
+            if py[y] <= 0:
+                continue
+            supp = np.flatnonzero(p_xy[:, y] > 0)
+            if supp.size == 1:
+                self.pure.append((scale * float(py[y]), int(supp[0])))
+            else:
+                self.mixed.append((scale * float(py[y]), p_xy[:, y] / py[y]))
+
+    def eval(self, idx: tuple[np.ndarray, ...]) -> np.ndarray:
+        out = np.zeros(idx[0].size)
+        for w, x in self.pure:
+            out += w * self.h_rows[x][idx[x]]
+        for w, cond in self.mixed:
+            mix = None
+            for x, wx in enumerate(cond):
+                if wx <= 0:
+                    continue
+                part = wx * self.rows[x][idx[x]]
+                mix = part if mix is None else mix + part
+            out += w * entropy_rows(mix)
+        return out
+
+
+class GridTerms:
+    """Sum of the terms in bits per channel of a batch given by row indices.
+
+    Channel i maps x to the flattened (m1, m2) pmf `rows[x][idx[x][i]]`,
+    whose entropy is `h_rows[x]`; `p_xy_by_axis` holds p(x, y) per side
+    axis.  Each I(X;B|Y,D) expands to H(BD|Y) - H(D|Y) - H(BD|X) + H(D|X)
+    (no D entries when D is empty) and equal entries cancel: H(Xh1|X)
+    drops out of `HB_CR_TERMS`.  Y-entropies are mixture entropies over
+    side symbols, X-entropies p(x)-weighted gathers; all Y-entropies are
+    applied first, each group in the order the terms name them.
+    """
+
+    def __init__(self, terms: tuple[MITerm, ...], px: np.ndarray,
+                 p_xy_by_axis: dict[int, np.ndarray], rows: list[np.ndarray],
+                 h_rows: list[np.ndarray], shape: tuple[int, int]):
+        m1, m2 = shape
+        full = frozenset((1, 2))
+
+        def marg(axes: frozenset) -> list[np.ndarray]:
+            if axes == full:
+                return rows
+            return [r.reshape(-1, m1, m2).sum(axis=2 if axes == {1} else 1) for r in rows]
+
+        side, own = Counter(), Counter()   # entropy entry -> coefficient
+        for t in terms:
+            bd, d = frozenset(t.b_axes + t.cond_axes), frozenset(t.cond_axes)
+            side[t.y_axis, bd] += 1
+            own[bd] -= 1
+            if d:
+                side[t.y_axis, d] -= 1
+                own[d] += 1
+        p_xy = {None: px[:, None], **p_xy_by_axis}
+        self.side = [_MixEntropyTerms(p_xy[y], marg(axes), c)
+                     for (y, axes), c in side.items() if c]
+        self.own = [(c * px, h_rows if axes == full
+                     else [entropy_rows(r) for r in marg(axes)])
+                    for axes, c in own.items() if c]
+
+    def eval(self, idx: tuple[np.ndarray, ...]) -> np.ndarray:
+        f = self.side[0].eval(idx)
+        for mix in self.side[1:]:
+            f += mix.eval(idx)
+        for w, h in self.own:
+            for x, hx in enumerate(h):
+                f += w[x] * hx[idx[x]]
+        return f

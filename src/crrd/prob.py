@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import InvalidSpecError
+from .errors import CrrdError, InvalidSpecError
 
 __all__ = [
     "FORBIDDEN",
@@ -43,6 +43,16 @@ _MASS_TOL = 1e-12
 FORBIDDEN = math.inf
 
 _AXIS_NAMES = {"x": 0, "y1": 1, "y2": 2}
+
+
+def _mass_from_doc(doc) -> np.ndarray:
+    """The pmf array of an {"alphabets": [...], "pmf": [...]} document."""
+    try:
+        return np.asarray(doc["pmf"], dtype=np.float64).reshape(doc["alphabets"])
+    except KeyError as exc:
+        raise InvalidSpecError(f"pmf document has no {exc} entry") from None
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidSpecError("pmf entries do not fit the alphabet sizes") from None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -74,6 +84,10 @@ class FinitePmf:
         if total <= 0:
             raise InvalidSpecError("pmf has zero total mass")
         object.__setattr__(self, "mass", _frozen(arr / total))
+
+    @classmethod
+    def from_json(cls, text: str) -> "FinitePmf":
+        return cls(_mass_from_doc(json.loads(text)))
 
     @property
     def alphabet_sizes(self) -> list[int]:
@@ -220,9 +234,7 @@ class JointSource:
     @classmethod
     def from_json(cls, text: str) -> "JointSource":
         doc = json.loads(text)
-        sizes = doc["alphabets"]
-        mass = np.asarray(doc["pmf"], dtype=np.float64).reshape(sizes)
-        return cls(mass, labels=doc.get("labels"))
+        return cls(_mass_from_doc(doc), labels=doc.get("labels"))
 
     def __repr__(self) -> str:
         return f"JointSource(|X|={self.nx}, |Y1|={self.ny1}, |Y2|={self.ny2})"
@@ -295,8 +307,13 @@ class DistortionMetric:
     @classmethod
     def from_json(cls, text: str) -> "DistortionMetric":
         doc = json.loads(text)
-        vals = [math.inf if v == "inf" else float(v) for v in doc["entries"]]
-        m = np.asarray(vals, dtype=np.float64).reshape(doc["rows"], doc["cols"])
+        try:
+            vals = [math.inf if v == "inf" else float(v) for v in doc["entries"]]
+            m = np.asarray(vals, dtype=np.float64).reshape(doc["rows"], doc["cols"])
+        except KeyError as exc:
+            raise InvalidSpecError(f"metric document has no {exc} entry") from None
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidSpecError("metric entries do not fit rows x cols") from None
         return cls(m)
 
     def __repr__(self) -> str:
@@ -433,7 +450,7 @@ def check_stochastic_degradedness(source: JointSource) -> DegradednessResult:
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
     if not res.success:
-        raise RuntimeError(f"degradedness LP failed unexpectedly: {res.message}")
+        raise CrrdError(f"degradedness LP failed unexpectedly: {res.message}")
     kernel = res.x[:nk].reshape(ny1, ny2)
     # clean tiny negatives and renormalize columns
     kernel = np.clip(kernel, 0.0, None)

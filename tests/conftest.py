@@ -2,6 +2,16 @@ import numpy as np
 import pytest
 
 import crrd
+from crrd.measures import MITerm
+
+#: Every valid term shape: B in {1}, {2}, {1,2}; every condition disjoint
+#: from B; every side information (or none).
+ALL_TERMS = tuple(
+    MITerm(b, y, d)
+    for b in ((1,), (2,), (1, 2))
+    for d in ((), (1,), (2,))
+    if not set(d) & set(b)
+    for y in (None, 1, 2))
 
 
 @pytest.fixture(scope="session")

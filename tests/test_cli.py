@@ -1,7 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import crrd
 from crrd.cli import emit_csv, main, run_command
@@ -102,22 +104,121 @@ class TestExitCodes:
         ["hb-cr", "--model", "gaussian:4,x,3", "--d1", ".1", "--d2", ".05"],
         ["hb-cr", "--model", "custom:{no_metric1}", "--d1", ".2", "--d2", ".1",
          "--solver", "grid"],
-    ], ids=["sweep-number", "binary-number", "gaussian-number", "custom-key"])
+        ["hb-cr", "--spec", "{spec_d2}"],
+        ["degradedness", "--model", "custom:{no_pmf}"],
+        ["degradedness", "--model", "custom:{short_pmf}"],
+        ["hb-cr", "--model", "custom:{short_metric}", "--d1", ".2", "--d2", ".1",
+         "--solver", "grid"],
+        ["point-cr", "--model", "custom:{no_pair_pmf}", "--d1", ".1", "--solver", "grid"],
+        ["hb-cr", "--spec", "{spec_list}"],
+        ["hb-cr", "--spec", "{spec_inf}"],
+        ["hb-cr", "--spec", "{spec_metric}"],
+        ["hb-cr", "--model", "binary-erased:1,0.35", "--d1", ".1", "--d2", ".05",
+         "--solver", "descent", "--restarts", "1", "--seed", "-1"],
+    ], ids=["sweep-number", "binary-number", "gaussian-number", "custom-key",
+            "spec-number", "source-key", "source-length", "metric-length",
+            "pair-pmf-key", "spec-not-object", "spec-int-overflow", "metric-type",
+            "negative-seed"])
     def test_malformed_spec_exits_2(self, argv, tmp_path, capsys):
-        src = crrd.build_erased_source(crrd.BinaryErasureSpec(0.5, 0.35))
-        doc = {"source": json.loads(src.to_json()),
-               "metric2": json.loads(crrd.DistortionMetric.hamming(2).to_json())}
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
-        rc, _, err = run_cli([a.format(no_metric1=path) for a in argv], capsys)
+        src = json.loads(crrd.build_erased_source(crrd.BinaryErasureSpec(0.5, 0.35)).to_json())
+        ham = json.loads(crrd.DistortionMetric.hamming(2).to_json())
+        files = {
+            "no_metric1": {"source": src, "metric2": ham},
+            "spec_d2": {"model": "gaussian:4,2,3", "d1": 1.0, "d2": "x"},
+            "no_pmf": {"source": {"alphabets": [2, 2, 2]}},
+            "short_pmf": {"source": {"alphabets": [2, 2, 2], "pmf": [0.5, 0.5]}},
+            "short_metric": {"source": src, "metric1": ham,
+                             "metric2": {"rows": 2, "cols": 2, "entries": [0, 1, 1]}},
+            "no_pair_pmf": {"pair_pmf": {"alphabets": [2, 2]}, "metric": ham},
+            "spec_list": ["model", "gaussian:4,2,3"],
+            "spec_inf": {"model": "binary-erased:1,0.35", "restarts": float("inf")},
+            "spec_metric": {"model": "binary-erased:1,0.35", "d1": 0.1, "metric": 7},
+        }
+        paths = {}
+        for name, doc in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        rc, _, err = run_cli([a.format(**paths) for a in argv], capsys)
         assert rc == 2
         assert "error" in err and "Traceback" not in err
+
+    def test_degradedness_lp_failure_exits_2(self, monkeypatch, capsys):
+        failed = SimpleNamespace(success=False, message="simulated solver failure")
+        monkeypatch.setattr(crrd.prob, "linprog", lambda *a, **k: failed)
+        rc, _, err = run_cli(["degradedness", "--model", "binary-erased:0.5,0.35"], capsys)
+        assert rc == 2
+        assert "simulated solver failure" in err
 
     def test_guard_exceeded(self, capsys):
         rc, _, err = run_cli(["hb-cr", "--model", "binary-erased:1,0.35",
                               "--d1", "0.1", "--d2", "0.05", "--solver", "grid",
                               "--step", "0.002"], capsys)
         assert rc == 4
+
+
+def _exit_code(argv):
+    """`main`'s return value; argparse rejections raise SystemExit instead."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# Every valid draw is cheap: grid steps >= 0.25, at most two descent
+# restarts and three sweep points, auxiliary caps <= 3 (<= 2 for ConR).
+_BAD = st.sampled_from(["x", "", None, [], {}, True, -1, -0.5, 2.5, 1e300,
+                        float("nan"), float("inf"), float("-inf")])
+_BUDGET = st.floats(min_value=0.0, max_value=0.6) | _BAD
+_SPEC_FIELDS = {
+    "model": st.sampled_from([
+        "binary-erased:1,0.35", "binary-erased:0.5,0.35", "binary-erased:0.35",
+        "gaussian:4,2,3", "gaussian:4,3", "binary-erased:0.35,1",
+        "binary-erased:1.5", "binary-erased:nan,0.3", "gaussian:-1,2,3",
+        "gaussian:4", "binary-erased:x", "nonsense:1", "custom:/nonexistent.json",
+        "noseparator", 5, None]),
+    "d1": _BUDGET,
+    "d2": _BUDGET,
+    "de1": _BUDGET,
+    "de2": _BUDGET,
+    "solver": st.sampled_from(["closed_form", "grid", "descent", "both",
+                               "brute_force", 3]),
+    "metric": st.sampled_from(["hamming", "erasure", "manhattan", 7]),
+    "sweep": st.sampled_from([
+        "d1:0:0.3:2", "d2:0.05:0.2:3", "d1:a:0.2:3", "rate:0:1:2", "d1:0:1:0",
+        "d1:0:1", {"var": "d2", "from": 0.1, "to": 0.3, "count": 2},
+        {"var": "d1"}, {"var": "d1", "from": 0, "to": 1, "count": "x"}, 7, ""]),
+    "restarts": st.integers(min_value=0, max_value=2) | _BAD,
+    "seed": st.integers(min_value=0, max_value=5) | _BAD,
+    "u_cap": st.integers(min_value=0, max_value=3) | _BAD,
+    "u1_cap": st.integers(min_value=0, max_value=2) | _BAD,
+    "u2_cap": st.integers(min_value=0, max_value=2) | _BAD,
+    "map_budget": st.integers(min_value=-1, max_value=100) | _BAD,
+    "guard": st.integers(min_value=-1, max_value=10**6) | _BAD,
+    "format": st.sampled_from(["csv", "json", "xml"]),
+}
+# always drawn, so no default (fine) step or restart count applies
+_SPEC_REQUIRED = {
+    "step": st.sampled_from([0.25, 0.5, 1.0, 0.0, -0.25, 0.3, 2.0, "x", None,
+                             float("nan")]),
+    "restarts": st.integers(min_value=0, max_value=2) | _BAD,
+}
+_SPECS = st.fixed_dictionaries(
+    _SPEC_REQUIRED,
+    optional={k: v for k, v in _SPEC_FIELDS.items() if k not in _SPEC_REQUIRED})
+
+
+class TestExitCodeContract:
+    @given(command=st.sampled_from(["point-cr", "hb-cr", "wz", "conr", "degradedness"]),
+           spec=_SPECS, data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_exit_code_always_documented(self, tmp_path_factory, command, spec, data):
+        on_argv = data.draw(st.lists(st.sampled_from(sorted(spec)), unique=True))
+        path = tmp_path_factory.mktemp("spec") / "spec.json"
+        path.write_text(json.dumps({k: v for k, v in spec.items() if k not in on_argv}))
+        argv = [command, "--spec", str(path)]
+        for key in on_argv:
+            argv += [f"--{key.replace('_', '-')}", str(spec[key])]
+        assert _exit_code(argv) in (0, 2, 3, 4)
 
 
 class TestDegradedness:

@@ -15,19 +15,10 @@ from crrd import (
     grid_oracle_hb_cr,
 )
 from crrd.measures import MITerm, term_value_grad
-from conftest import random_channel, random_source
+from conftest import ALL_TERMS, random_channel, random_source
 
 BSPEC = BinaryErasureSpec(1.0, 0.35)
 RT_B_01005 = 0.5949139291763825
-
-#: Every valid term shape: B in {1}, {2}, {1,2}; every condition disjoint
-#: from B; every side information (or none).
-ALL_TERMS = tuple(
-    MITerm(b, y, d)
-    for b in ((1,), (2,), (1, 2))
-    for d in ((), (1,), (2,))
-    if not set(d) & set(b)
-    for y in (None, 1, 2))
 
 
 class TestTermGradients:

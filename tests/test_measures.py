@@ -1,0 +1,55 @@
+"""The factored grid evaluator is a fast path of the term lists: on the
+same channels it must agree with the batched joint-tensor evaluator."""
+
+import numpy as np
+import pytest
+
+import crrd
+from crrd.measures import HB_CR_TERMS, POINT_TERMS, GridTerms, MITerm, batch_joint, \
+    batch_terms, entropy_rows
+from conftest import ALL_TERMS
+
+TERM_LISTS = tuple((t,) for t in ALL_TERMS) + (
+    HB_CR_TERMS,
+    POINT_TERMS,
+    # H(Xh1|Y2) cancels between the two terms
+    (MITerm((1,), 2), MITerm((2,), 2, (1,))),
+    # repeated entries add up
+    (MITerm((1,), 1), MITerm((1,), 1), MITerm((1, 2), None)),
+)
+
+#: (|X|, |Y1|, |Y2|, m1, m2)
+SHAPES = ((2, 2, 2, 2, 2), (3, 2, 3, 2, 3), (2, 3, 1, 3, 1), (1, 2, 2, 2, 2))
+
+
+def _sparse_source(rng, nx, ny1, ny2):
+    """Random source with zero-mass cells, so some side symbols are seen
+    from one source symbol only."""
+    mass = rng.dirichlet(np.ones(nx * ny1 * ny2)).reshape(nx, ny1, ny2)
+    mass *= rng.random(mass.shape) > 0.4
+    mass[:, 0, 0] += 0.05   # every x keeps some mass
+    return crrd.JointSource(mass)
+
+
+def _grid_rows(rng, n_rows, cells, units=4):
+    """Grid pmfs (multiples of 1/units), many with zero-mass cells."""
+    counts = rng.multinomial(units, np.full(cells, 1.0 / cells), size=n_rows)
+    counts[: cells] = units * np.eye(cells, dtype=int)   # pure rows
+    return counts / units
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@pytest.mark.parametrize("terms", TERM_LISTS, ids=str)
+def test_grid_terms_match_batched_joint(terms, shape):
+    nx, ny1, ny2, m1, m2 = shape
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        src = _sparse_source(rng, nx, ny1, ny2)
+        rows = [_grid_rows(rng, 12, m1 * m2) for _ in range(src.nx)]
+        idx = tuple(rng.integers(0, 12, size=40) for _ in range(src.nx))
+        grid = GridTerms(terms, src.x_marginal(),
+                         {1: src.xy1_marginal(), 2: src.xy2_marginal()},
+                         rows, [entropy_rows(r) for r in rows], (m1, m2))
+        batch = np.stack([r[i] for r, i in zip(rows, idx)], axis=1)
+        want = batch_terms(batch_joint(src, batch.reshape(-1, src.nx, m1, m2)), terms)
+        np.testing.assert_allclose(grid.eval(idx), want, rtol=0, atol=1e-12)
