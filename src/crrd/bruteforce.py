@@ -41,7 +41,7 @@ from .errors import GuardExceededError, InfeasibleBudgetError, InvalidSpecError,
     ShapeMismatchError
 from .gridsearch import BATCH, POINT_GUARD_DEFAULT, SLACK, simplex_grid, step_units
 from .measures import HB_CR_TERMS, POINT_TERMS, GridTerms, entropy_rows
-from .prob import DistortionMetric, FinitePmf, JointSource
+from .prob import DistortionMetric, FinitePmf, JointSource, check_budget
 
 __all__ = [
     "ConRResult",
@@ -153,6 +153,7 @@ def brute_force_wz(pair_pmf: FinitePmf, metric: DistortionMetric, d: float,
         raise InvalidSpecError("need a 2-axis joint p(x,y)")
     if u_cap < 1:
         raise InvalidSpecError("u_cap must be >= 1")
+    check_budget("d", d)
     p_xy = pair_pmf.mass
     nx = p_xy.shape[0]
     if metric.n_inputs != nx:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError, ShapeMismatchError
-from .prob import DistortionMetric, FinitePmf, JointSource, check_markov_chain, \
-    conditional_mutual_information
+from .prob import DistortionMetric, FinitePmf, JointSource, check_budget, \
+    check_markov_chain, conditional_mutual_information
 
 __all__ = [
     "TestChannel",
@@ -93,8 +93,8 @@ class ConRConstraint:
     metric_e2: DistortionMetric
 
     def __post_init__(self):
-        if self.de1 < 0 or self.de2 < 0:
-            raise InvalidSpecError("encoder-side budgets must be >= 0")
+        check_budget("de1", self.de1)
+        check_budget("de2", self.de2)
         for name in ("metric_e1", "metric_e2"):
             m = getattr(self, name)
             if m.n_inputs != m.n_outputs:

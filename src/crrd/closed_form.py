@@ -24,7 +24,7 @@ import numpy as np
 
 from .channels import TestChannel
 from .errors import InvalidSpecError
-from .prob import BinaryErasureSpec, GaussianSpec, binary_entropy
+from .prob import BinaryErasureSpec, GaussianSpec, binary_entropy, check_budget
 
 __all__ = [
     "DistortionPair",
@@ -50,10 +50,8 @@ class DistortionPair:
     d2: float
 
     def __post_init__(self):
-        for name in ("d1", "d2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise InvalidSpecError(f"{name} must be finite and >= 0, got {v}")
+        check_budget("d1", self.d1)
+        check_budget("d2", self.d2)
 
 
 class RegionLabel(enum.Enum):

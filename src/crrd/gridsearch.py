@@ -8,11 +8,16 @@ converges as the step shrinks (the feasible set is a polytope and the
 objective is continuous), and it is independent of any closed form, which
 is what makes it usable as a cross-check.
 
-Enumeration is organized so the work scales with the number of *feasible*
-channels rather than the full product grid: rows are prefiltered by their
-own distortion contribution, partners are scanned through a cost-sorted
-prefix, and a zero-rate shortcut answers loose budgets outright (if any
-constant channel on the grid is feasible, the minimum is exactly 0).
+One enumeration algorithm serves every source alphabet, with work that
+scales with the number of *feasible* channels rather than the full product
+grid: slices are walked depth first, rows with one cost profile are
+expanded once per group, and the last slice is scanned through a
+cost-sorted prefix.  Channels stream in batches of at most `batch`, and
+about that many are held at once, so memory is bounded by the batch size
+whatever the metric.  Exact ties go to the lexicographically smallest
+channel, independent of enumeration order and batching.  A zero-rate
+shortcut answers loose budgets outright (if any constant channel on the
+grid is feasible, the minimum is exactly 0).
 The objective is `measures.GridTerms` over `HB_CR_TERMS` (or `POINT_TERMS`
 for one decoder): per channel it recomputes only the mixture entropies over
 side symbols seen from several source symbols and gathers everything else
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,8 +36,8 @@ from .channels import TestChannel
 from .closed_form import DistortionPair
 from .errors import GuardExceededError, InfeasibleBudgetError, InvalidSpecError, \
     ShapeMismatchError
-from .measures import HB_CR_TERMS, POINT_TERMS, GridTerms, MITerm, entropy_rows
-from .prob import DistortionMetric, FinitePmf, JointSource
+from .measures import HB_CR_TERMS, POINT_TERMS, GridTerms, entropy_rows
+from .prob import DistortionMetric, FinitePmf, JointSource, check_budget
 
 __all__ = [
     "simplex_grid",
@@ -86,10 +91,6 @@ class _Slice:
     costs: np.ndarray        # (n_budgets, N) distortion contribution, p(x)-weighted
     h_row: np.ndarray        # (N,) entropy of the row
 
-    @property
-    def n(self) -> int:
-        return self.padded.shape[0]
-
 
 def _build_slice(units: int, allowed_flat: np.ndarray, n_full: int,
                  cost_vectors: Sequence[np.ndarray]) -> _Slice:
@@ -131,136 +132,101 @@ def _zero_rate_witness(slices: list[_Slice], n_full: int, units: int,
     return row
 
 
-def _enumerate_feasible(slices: list[_Slice], budgets: np.ndarray,
-                        emit: Callable[[tuple[np.ndarray, ...]], None],
-                        batch: int = BATCH) -> int:
-    """Drive `emit` over every grid channel meeting all (one or more) budgets.
-
-    Returns the number of channels emitted.  Work scales with the number
-    of feasible channels, not the full product.
+def _feasible_batches(slices: list[_Slice], budgets: np.ndarray,
+                      batch: int = BATCH) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield index-column tuples of at most `batch` grid channels meeting
+    all (one or more) budgets, each such channel once.  Pieces stay within
+    `batch` (or one slice's rows), so memory is bounded by the batch size.
     """
-    nx = len(slices)
-    nb = budgets.size
-    slack = SLACK + SLACK * np.abs(budgets)
-    lim = budgets + slack
-
-    total = 0
-    pend: list[list[np.ndarray]] = []
+    lim = budgets + SLACK + SLACK * np.abs(budgets)
+    order = np.argsort(slices[-1].costs[0], kind="stable")
+    scan = (order, slices[-1].costs[:, order])
+    pend: list[tuple[np.ndarray, ...]] = []
     pend_n = 0
-
-    def flush():
-        nonlocal pend, pend_n, total
-        if pend_n == 0:
-            return
-        cols = tuple(np.concatenate([p[x] for p in pend]) for x in range(nx))
-        for s in range(0, cols[0].size, batch):
-            emit(tuple(c[s:s + batch] for c in cols))
-        total += cols[0].size
-        pend, pend_n = [], 0
-
-    mins = np.array([[s.costs[j].min() for s in slices] for j in range(nb)])
-
-    if nx == 2:
-        s0, s1 = slices
-        keep0 = np.ones(s0.n, dtype=bool)
-        keep1 = np.ones(s1.n, dtype=bool)
-        for j in range(nb):
-            keep0 &= s0.costs[j] <= lim[j] - mins[j, 1]
-            keep1 &= s1.costs[j] <= lim[j] - mins[j, 0]
-        f0 = np.flatnonzero(keep0)
-        f1 = np.flatnonzero(keep1)
-        if f0.size == 0 or f1.size == 0:
-            return 0
-        order = f1[np.argsort(s1.costs[0][f1], kind="stable")]
-        csort = s1.costs[:, order]
-        # group identical cost profiles of slice 0 so the prefix scan runs
-        # once per distinct budget remainder
-        prof = s0.costs[:, f0].T
-        uniq, inv = np.unique(prof, axis=0, return_inverse=True)
-        for g in range(uniq.shape[0]):
-            rows0 = f0[inv == g]
-            rem = lim - uniq[g]
-            if np.any(rem < mins[:, 1]):
-                continue
-            cut = int(np.searchsorted(csort[0], rem[0], side="right"))
-            if cut == 0:
-                continue
-            ok = np.ones(cut, dtype=bool)
-            for j in range(1, nb):
-                ok &= csort[j, :cut] <= rem[j]
-            js = order[:cut][ok]
-            if js.size == 0:
-                continue
-            pend.append([np.repeat(rows0, js.size), np.tile(js, rows0.size)])
-            pend_n += rows0.size * js.size
-            if pend_n >= batch:
-                flush()
-        flush()
-        return total
-
-    # generic depth-first product for any other number of source symbols
-    later_min = np.zeros((nb, nx + 1))
-    for x in range(nx - 1, -1, -1):
-        later_min[:, x] = later_min[:, x + 1] + mins[:, x]
-
-    prefix = np.zeros((nx,), dtype=np.int64)
-
-    def rec(x: int, used: np.ndarray):
-        nonlocal pend_n
-        rem = lim - used
-        if x == nx - 1:
-            ok = np.ones(slices[x].n, dtype=bool)
-            for j in range(nb):
-                ok &= slices[x].costs[j] <= rem[j]
-            js = np.flatnonzero(ok)
-            if js.size == 0:
-                return
-            cols = [np.full(js.size, prefix[t], dtype=np.int64) for t in range(x)]
-            cols.append(js)
-            pend.append(cols)
-            pend_n += js.size
-            if pend_n >= batch:
-                flush()
-            return
-        ok = np.ones(slices[x].n, dtype=bool)
-        for j in range(nb):
-            ok &= slices[x].costs[j] <= rem[j] - later_min[j, x + 1]
-        for i in np.flatnonzero(ok):
-            prefix[x] = i
-            rec(x + 1, used + slices[x].costs[:, i])
-
-    rec(0, np.zeros(nb))
-    flush()
-    return total
+    for piece in _pieces(slices, lim, scan, (), np.zeros(budgets.size), batch):
+        pend.append(piece)
+        pend_n += piece[0].size
+        if pend_n >= batch:
+            yield from _flush(pend, pend_n, batch)
+            pend_n = 0
+    yield from _flush(pend, pend_n, batch)
 
 
-class _Minimizer:
-    """Tracks the smallest batch value of `terms`; ties go to the
-    lexicographically smallest channel (concatenated padded rows)."""
+def _pieces(slices: list[_Slice], lim: np.ndarray, scan: tuple[np.ndarray, np.ndarray],
+            prefix: tuple[np.ndarray, ...], used: np.ndarray, batch: int,
+            ) -> Iterator[tuple[np.ndarray, ...]]:
+    """Feasible channels that extend `prefix` (index columns of the first
+    len(prefix) slices, whose rows together cost `used`), depth first.
 
-    def __init__(self, slices: list[_Slice], terms: tuple[MITerm, ...], px: np.ndarray,
-                 p_xy_by_axis: dict[int, np.ndarray], shape: tuple[int, int]):
-        self.objective = GridTerms(terms, px, p_xy_by_axis, [s.padded for s in slices],
-                                   [s.h_row for s in slices], shape)
-        self.slices = slices
-        self.best = math.inf
-        self.best_idx: tuple[int, ...] | None = None
+    Rows kept from a slice leave room for the later slices' least costs;
+    those sharing a cost profile are expanded once per group.  The last
+    slice is scanned through a prefix of `scan` (row order by first-budget
+    cost, costs in that order).  Module level, not a self-calling closure,
+    so a walk leaves no reference cycle behind.
+    """
+    x, rem = len(prefix), lim - used
+    if x == len(slices) - 1:
+        order, csort = scan
+        cut = int(np.searchsorted(csort[0], rem[0], side="right"))
+        js = order[:cut][np.all(csort[1:, :cut] <= rem[1:, None], axis=0)]
+        yield from _expand(prefix, js, batch)
+        return
+    later_min = np.zeros(lim.size)
+    for s in reversed(slices[x + 1:]):
+        later_min = later_min + s.costs.min(axis=1)
+    rows = np.flatnonzero(np.all(slices[x].costs <= (rem - later_min)[:, None], axis=0))
+    prof, inv, counts = np.unique(slices[x].costs[:, rows].T, axis=0,
+                                  return_inverse=True, return_counts=True)
+    split = np.split(rows[np.argsort(inv, kind="stable")], np.cumsum(counts)[:-1])
+    for p, rows_p in zip(prof, split):
+        for part in _expand(prefix, rows_p, batch):
+            yield from _pieces(slices, lim, scan, part, used + p, batch)
 
-    def _key(self, idx: tuple[int, ...]) -> np.ndarray:
-        return np.concatenate([s.padded[i] for s, i in zip(self.slices, idx)])
 
-    def __call__(self, idx: tuple[np.ndarray, ...]) -> None:
-        vals = self.objective.eval(idx)
-        i = int(np.argmin(vals))
-        v = float(vals[i])
-        cand = tuple(int(col[i]) for col in idx)
-        if v < self.best:
-            self.best, self.best_idx = v, cand
-        elif v == self.best and self.best_idx is not None:
-            # exact float tie: lexicographic channel comparison
-            ck, bk = self._key(cand), self._key(self.best_idx)
-            if tuple(ck) < tuple(bk):
-                self.best_idx = cand
+def _expand(prefix: tuple[np.ndarray, ...], rows: np.ndarray, batch: int,
+            ) -> Iterator[tuple[np.ndarray, ...]]:
+    """Every prefix row (index columns; none before the first slice)
+    followed by each of `rows`, in that order, cut by prefix rows into
+    pieces of at most max(batch, rows.size) channels."""
+    if rows.size == 0:
+        return
+    n = prefix[0].size if prefix else 1
+    per = max(1, batch // rows.size)
+    for s in range(0, n, per):
+        head = tuple(np.repeat(c[s:s + per], rows.size) for c in prefix)
+        yield head + (np.tile(rows, min(per, n - s)),)
+
+
+def _flush(pend: list[tuple[np.ndarray, ...]], n: int, batch: int,
+           ) -> Iterator[tuple[np.ndarray, ...]]:
+    """Empty `pend` (`n` channels) into batches of `batch`; the last may be short."""
+    cols = tuple(np.concatenate(col) for col in zip(*pend))
+    pend.clear()
+    for s in range(0, n, batch):
+        yield tuple(c[s:s + batch] for c in cols)
+
+
+def _grid_argmin(objective: GridTerms, batches: Iterator[tuple[np.ndarray, ...]],
+                 ) -> tuple[float, tuple[int, ...] | None]:
+    """Smallest objective value over the batches and, among the channels
+    attaining it exactly, the lexicographically smallest index tuple.
+
+    Slice rows are lexicographic, so this is the lexicographically
+    smallest channel whatever the order and batching of `batches`.
+    Returns (inf, None) when no batch holds a channel.
+    """
+    best, best_idx = math.inf, None
+    for idx in batches:
+        vals = objective.eval(idx)
+        v = float(vals.min())
+        if v <= best:
+            hits = np.flatnonzero(vals == v)
+            first = hits[np.lexsort([c[hits] for c in reversed(idx)])[0]]
+            cand = tuple(int(c[first]) for c in idx)
+            if v < best or cand < best_idx:
+                best, best_idx = v, cand
+        del vals, idx   # free this batch before the next one is built
+    return best, best_idx
 
 
 def _check_guard_counts(support_sizes: list[int], units: int, guard: int) -> None:
@@ -284,8 +250,7 @@ def grid_oracle_point_cr(pair_pmf: FinitePmf, metric: DistortionMetric,
     """
     if pair_pmf.ndim != 2:
         raise InvalidSpecError("point oracle needs a 2-axis joint p(x,y)")
-    if d < 0:
-        raise InvalidSpecError("distortion budget must be >= 0")
+    check_budget("d", d)
     p_xy = pair_pmf.mass
     nx = p_xy.shape[0]
     if metric.n_inputs != nx:
@@ -306,12 +271,13 @@ def grid_oracle_point_cr(pair_pmf: FinitePmf, metric: DistortionMetric,
     if _zero_rate_witness(slices, n_full, k, cost_full, budgets) is not None:
         return 0.0
 
-    minimizer = _Minimizer(slices, POINT_TERMS, px, {1: p_xy}, (n_full, 1))
-    n = _enumerate_feasible(slices, budgets, minimizer)
-    if n == 0 or not math.isfinite(minimizer.best):
+    objective = GridTerms(POINT_TERMS, px, {1: p_xy}, [s.padded for s in slices],
+                          [s.h_row for s in slices], (n_full, 1))
+    best, _ = _grid_argmin(objective, _feasible_batches(slices, budgets))
+    if not math.isfinite(best):
         raise InfeasibleBudgetError(
             f"no grid channel meets E[d] <= {d} at step {step}")
-    return max(0.0, minimizer.best)
+    return max(0.0, best)
 
 
 def _hb_slices(source: JointSource, metric1: DistortionMetric,
@@ -360,15 +326,16 @@ def grid_oracle_hb_cr(source: JointSource, metric1: DistortionMetric,
         cond = np.tile(row.reshape(1, m1, m2), (nx, 1, 1))
         return 0.0, TestChannel(cond)
 
-    minimizer = _Minimizer(slices, HB_CR_TERMS, source.x_marginal(),
-                           {1: source.xy1_marginal(), 2: source.xy2_marginal()}, (m1, m2))
-    n = _enumerate_feasible(slices, budgets, minimizer)
-    if n == 0 or not math.isfinite(minimizer.best):
+    objective = GridTerms(HB_CR_TERMS, source.x_marginal(),
+                          {1: source.xy1_marginal(), 2: source.xy2_marginal()},
+                          [s.padded for s in slices], [s.h_row for s in slices], (m1, m2))
+    best, best_idx = _grid_argmin(objective, _feasible_batches(slices, budgets))
+    if not math.isfinite(best):
         raise InfeasibleBudgetError(
             f"no grid channel meets budgets {pair} at step {step}")
     cond = np.stack([slices[x].padded[i].reshape(m1, m2)
-                     for x, i in enumerate(minimizer.best_idx)])
-    return max(0.0, minimizer.best), TestChannel(cond)
+                     for x, i in enumerate(best_idx)])
+    return max(0.0, best), TestChannel(cond)
 
 
 def feasible_hb_channel_batches(
@@ -380,23 +347,16 @@ def feasible_hb_channel_batches(
 
     Used by the region samplers, which evaluate several rate bounds per
     channel.  Here the guard caps the number of feasible channels (the
-    sweep must hold them all), not the product grid.
+    sweep keeps a rate point per channel), not the product grid; it is
+    raised when the batch that crosses it is reached.
     """
     k = step_units(step)
     slices, _, m1, m2 = _hb_slices(source, metric1, metric2, k, HB_GUARD_DEFAULT)
-    budgets = np.array([pair.d1, pair.d2])
-    cols: list[tuple[np.ndarray, ...]] = []
     seen = 0
-
-    def emit(idx: tuple[np.ndarray, ...]) -> None:
-        nonlocal seen
+    for idx in _feasible_batches(slices, np.array([pair.d1, pair.d2]), batch):
         seen += idx[0].size
         if seen > guard:
             raise GuardExceededError(
                 f"budget-feasible sweep exceeds {guard} channels", seen, guard)
-        cols.append(tuple(c.copy() for c in idx))
-
-    _enumerate_feasible(slices, budgets, emit, batch=batch)
-    for idx in cols:
         yield np.stack([slices[x].padded[idx[x]].reshape(-1, m1, m2)
                         for x in range(source.nx)], axis=1)

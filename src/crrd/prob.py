@@ -32,6 +32,7 @@ __all__ = [
     "entropy",
     "binary_entropy",
     "conditional_mutual_information",
+    "check_budget",
     "check_markov_chain",
     "check_stochastic_degradedness",
     "build_erased_source",
@@ -183,19 +184,19 @@ class JointSource:
             pmf = FinitePmf(pmf)
         if pmf.ndim != 3:
             raise InvalidSpecError(f"JointSource needs exactly 3 axes, got {pmf.ndim}")
-        px = pmf.mass.sum(axis=(1, 2))
-        keep = px > 0
-        mass = pmf.mass
-        if not keep.all():
-            mass = mass[keep]
-            if labels is not None:
-                labels = [list(np.asarray(labels[0], dtype=object)[keep]), labels[1], labels[2]]
-            pmf = FinitePmf(mass)
-        object.__setattr__(self, "pmf", pmf)
         if labels is not None:
-            labels = tuple(tuple(str(s) for s in ax) for ax in labels)
+            try:
+                labels = tuple(tuple(str(s) for s in ax) for ax in labels)
+            except TypeError:
+                raise InvalidSpecError("labels must be three sequences, one per axis") from None
             if [len(ax) for ax in labels] != pmf.alphabet_sizes:
                 raise InvalidSpecError("label lengths must match alphabet sizes")
+        keep = pmf.mass.sum(axis=(1, 2)) > 0
+        if not keep.all():
+            pmf = FinitePmf(pmf.mass[keep])
+            if labels is not None:
+                labels = (tuple(s for s, k in zip(labels[0], keep) if k),) + labels[1:]
+        object.__setattr__(self, "pmf", pmf)
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -318,6 +319,12 @@ class DistortionMetric:
 
     def __repr__(self) -> str:
         return f"DistortionMetric({self.n_inputs}x{self.n_outputs}, d_max={self.d_max})"
+
+
+def check_budget(name: str, value: float) -> None:
+    """Reject a distortion budget that is not finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise InvalidSpecError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)

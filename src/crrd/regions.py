@@ -36,6 +36,12 @@ __all__ = [
     "cascade_bounds_xy2y1",
 ]
 
+#: Most budget-feasible channels a grid sweep may map to rate points.
+SWEEP_GUARD = 10_000_000
+#: r1 tolerance used when reading the inner boundary at the outer corner.
+CORNER_SLACK = 1e-6
+
+
 @dataclass(frozen=True)
 class RatePoint:
     r1: float
@@ -76,10 +82,7 @@ class SamplerConfig:
     method "grid" enumerates feasible channels at `step`; "scalarize"
     minimizes lambda-weighted combinations of the two bounds by descent
     with `n_weights` evenly spaced weights and `restarts` random starts
-    per weight.  `corner_slack` is the r1 tolerance used when reading the
-    inner boundary at the outer corner.  `guard` bounds the channel sweep;
-    `oracle_guard` bounds the scalar corner minimizations, which prune by
-    budget feasibility and tolerate a much larger product grid.
+    per weight.
     """
 
     method: str = "grid"
@@ -87,9 +90,6 @@ class SamplerConfig:
     n_weights: int = 21
     restarts: int = 4
     seed: int = 0
-    guard: int = 10_000_000
-    oracle_guard: int = HB_GUARD_DEFAULT
-    corner_slack: float = 1e-6
     seed_channels: tuple[TestChannel, ...] = ()
 
     def __post_init__(self):
@@ -118,7 +118,7 @@ def _channel_sweep(source: JointSource, metric1: DistortionMetric,
         yield bounds(ch.cond[None, :, :, :], "seed")
     if config.method == "grid":
         for batch in feasible_hb_channel_batches(
-                source, metric1, metric2, pair, config.step, guard=config.guard):
+                source, metric1, metric2, pair, config.step, guard=SWEEP_GUARD):
             yield bounds(batch, f"grid(step={config.step})")
         return
     for i in range(config.n_weights):
@@ -166,8 +166,7 @@ def coop_region_xy2y1(source: JointSource, metric1: DistortionMetric,
     if not check_markov_chain(source, ("x", "y2", "y1")):
         raise InvalidSpecError("cooperative region in this direction needs X - Y2 - Y1")
     if config.method == "grid":
-        rho, _ = grid_oracle_hb_cr(source, metric1, metric2, pair, config.step,
-                                   guard=config.oracle_guard)
+        rho, _ = grid_oracle_hb_cr(source, metric1, metric2, pair, config.step)
     else:
         init = config.seed_channels[0] if config.seed_channels else None
         rho = descent_hb_cr(source, metric1, metric2, pair,
@@ -225,16 +224,17 @@ def cascade_bounds_xy2y1(source: JointSource, metric1: DistortionMetric,
     if not check_markov_chain(source, ("x", "y2", "y1")):
         raise InvalidSpecError("cascade bounds in this direction need X - Y2 - Y1")
     if config.method == "grid":
-        r1c, _ = grid_oracle_hb_cr(source, metric1, metric2, pair, config.step,
-                                   guard=config.oracle_guard)
+        r1c, _ = grid_oracle_hb_cr(source, metric1, metric2, pair, config.step)
     else:
         init = config.seed_channels[0] if config.seed_channels else None
         r1c = descent_hb_cr(source, metric1, metric2, pair,
                             restarts=config.restarts, seed=config.seed,
                             init=init).rate
+    # the corner minimizations prune by budget feasibility, so the point
+    # oracle takes the two-decoder oracle's wider product-grid guard
     pair_xy2 = FinitePmf(source.xy2_marginal())
     r2c = grid_oracle_point_cr(pair_xy2, metric2, pair.d2, config.step,
-                               guard=config.oracle_guard)
+                               guard=HB_GUARD_DEFAULT)
     outer = RateRegion(points=(RatePoint(r1c, r2c, "outer-corner"),))
 
     pts: list[RatePoint] = []
@@ -244,6 +244,6 @@ def cascade_bounds_xy2y1(source: JointSource, metric1: DistortionMetric,
             pts.append(RatePoint(float(g1[i]), float(g2[i]), prov))
     inner = RateRegion(points=dominance_filter(pts))
 
-    near = [p.r2 for p in inner.points if p.r1 <= r1c + config.corner_slack]
+    near = [p.r2 for p in inner.points if p.r1 <= r1c + CORNER_SLACK]
     gap = math.inf if not near else max(0.0, min(near) - r2c)
     return CascadeBounds(outer=outer, inner=inner, gap=gap)

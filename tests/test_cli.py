@@ -115,10 +115,17 @@ class TestExitCodes:
         ["hb-cr", "--spec", "{spec_metric}"],
         ["hb-cr", "--model", "binary-erased:1,0.35", "--d1", ".1", "--d2", ".05",
          "--solver", "descent", "--restarts", "1", "--seed", "-1"],
+        ["point-cr", "--model", "binary-erased:0.35", "--d1", "nan", "--solver", "grid",
+         "--step", "0.25"],
+        ["wz", "--model", "binary-erased:0.35", "--d1", "nan", "--step", "0.25"],
+        ["conr", "--model", "binary-erased:1,0.35", "--d1", "0.1", "--d2", "0.05",
+         "--de1", "nan", "--step", "0.25"],
+        ["degradedness", "--model", "custom:{int_labels}"],
     ], ids=["sweep-number", "binary-number", "gaussian-number", "custom-key",
             "spec-number", "source-key", "source-length", "metric-length",
             "pair-pmf-key", "spec-not-object", "spec-int-overflow", "metric-type",
-            "negative-seed"])
+            "negative-seed", "nan-point-budget", "nan-wz-budget", "nan-conr-budget",
+            "labels-type"])
     def test_malformed_spec_exits_2(self, argv, tmp_path, capsys):
         src = json.loads(crrd.build_erased_source(crrd.BinaryErasureSpec(0.5, 0.35)).to_json())
         ham = json.loads(crrd.DistortionMetric.hamming(2).to_json())
@@ -133,6 +140,7 @@ class TestExitCodes:
             "spec_list": ["model", "gaussian:4,2,3"],
             "spec_inf": {"model": "binary-erased:1,0.35", "restarts": float("inf")},
             "spec_metric": {"model": "binary-erased:1,0.35", "d1": 0.1, "metric": 7},
+            "int_labels": {"source": {**src, "labels": 5}},
         }
         paths = {}
         for name, doc in files.items():

@@ -151,6 +151,14 @@ class TestHbOracle:
         b, _ = grid_oracle_hb_cr(none, hamming2, hamming2, pair, step=0.05)
         assert a == pytest.approx(b, abs=1e-9)
 
+    def test_exact_tie_takes_lexicographically_smallest_channel(self, erased_full,
+                                                                 hamming2):
+        # two grid channels attain the minimum with float-equal rates; the
+        # witness is the lexicographically smaller, whatever the batch order
+        _, wit = grid_oracle_hb_cr(erased_full, hamming2, hamming2,
+                                   DistortionPair(0.1, 0.05), step=0.2)
+        assert np.array_equal(wit.cond.reshape(2, 4), [[0.8, 0, 0.2, 0], [0, 0, 0, 1]])
+
     def test_determinism(self, erased_full, hamming2):
         pair = DistortionPair(0.2, 0.1)
         r1, w1 = grid_oracle_hb_cr(erased_full, hamming2, hamming2, pair, step=0.05)
@@ -159,29 +167,47 @@ class TestHbOracle:
         assert np.array_equal(w1.cond, w2.cond)
 
 
+def _direct_feasible(source, metric1, metric2, pair, units):
+    """Every budget-feasible grid channel, by a plain product over the slices."""
+    m1, m2 = metric1.n_outputs, metric2.n_outputs
+    d1 = np.repeat(metric1.matrix, m2, axis=1)
+    d2 = np.tile(metric2.matrix, (1, m1))
+    slices = []
+    for x in range(source.nx):
+        cells = np.flatnonzero(np.isfinite(d1[x]) & np.isfinite(d2[x]))
+        rows = np.zeros((math.comb(units + cells.size - 1, cells.size - 1), m1 * m2))
+        rows[:, cells] = simplex_grid(units, cells.size) / units
+        slices.append(rows)
+    idx = np.indices([r.shape[0] for r in slices]).reshape(source.nx, -1)
+    chans = np.stack([r[i] for r, i in zip(slices, idx)], axis=1)
+    px = source.x_marginal()[:, None]
+    e1 = np.einsum("bxc,xc->b", chans, px * np.where(np.isfinite(d1), d1, 0.0))
+    e2 = np.einsum("bxc,xc->b", chans, px * np.where(np.isfinite(d2), d2, 0.0))
+    ok = (e1 <= pair.d1 + 1e-12 * (1 + pair.d1)) & (e2 <= pair.d2 + 1e-12 * (1 + pair.d2))
+    return chans[ok].reshape(-1, source.nx, m1, m2)
+
+
+_ONE_SYMBOL = (crrd.JointSource(np.array([[[0.3, 0.2], [0.1, 0.4]]])),
+               DistortionMetric(np.array([[0.0, 1.0]])),
+               DistortionMetric(np.array([[0.5, 0.0]])), DistortionPair(0.7, 0.4))
+_THREE_SYMBOLS = (crrd.JointSource(np.random.default_rng(3).dirichlet(np.ones(12))
+                                   .reshape(3, 2, 2)),
+                  DistortionMetric(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, np.inf]])),
+                  DistortionMetric(np.array([[0.0, 1.0], [0.25, 0.0], [1.0, 0.5]])),
+                  DistortionPair(0.3, 0.35))
+
+
 class TestChannelBatches:
-    def test_batches_are_feasible_and_complete(self, erased_full, hamming2):
-        pair = DistortionPair(0.2, 0.15)
-        count = 0
-        for batch in feasible_hb_channel_batches(erased_full, hamming2, hamming2,
-                                                 pair, step=0.25):
-            for i in range(batch.shape[0]):
-                ch = crrd.TestChannel(batch[i])
-                d1, d2 = eval_distortions(erased_full, ch, hamming2, hamming2)
-                assert d1 <= pair.d1 + 1e-9 and d2 <= pair.d2 + 1e-9
-                count += 1
-        # independent count: enumerate the 4-cell simplex grid directly
-        rows = simplex_grid(4, 4) / 4.0
-        d1v = rows @ np.array([0, 0, 1, 1.0])
-        d2v = rows @ np.array([0, 1, 0, 1.0])
-        expect = 0
-        for i in range(rows.shape[0]):
-            for j in range(rows.shape[0]):
-                e1 = 0.5 * d1v[i] + 0.5 * (rows[j] @ np.array([1, 1, 0, 0.0]))
-                e2 = 0.5 * d2v[i] + 0.5 * (rows[j] @ np.array([1, 0, 1, 0.0]))
-                if e1 <= pair.d1 + 1e-12 and e2 <= pair.d2 + 1e-12:
-                    expect += 1
-        assert count == expect
+    @pytest.mark.parametrize("nx", [1, 2, 3])
+    def test_batches_are_feasible_and_complete(self, nx, erased_full, hamming2):
+        instance = {1: _ONE_SYMBOL, 2: (erased_full, hamming2, hamming2,
+                                        DistortionPair(0.3, 0.25)), 3: _THREE_SYMBOLS}[nx]
+        batches = list(feasible_hb_channel_batches(*instance, step=0.25, batch=7))
+        assert max(b.shape[0] for b in batches) <= 7
+        got = [c.tobytes() for b in batches for c in b]
+        want = {c.tobytes() for c in _direct_feasible(*instance, units=4)}
+        assert len(got) == len(set(got)), "a channel was enumerated twice"
+        assert set(got) == want
 
     def test_guard_counts_feasible_channels(self, erased_full, hamming2):
         with pytest.raises(GuardExceededError):
