@@ -313,9 +313,17 @@ def _sampler_config(spec: dict) -> SamplerConfig:
     )
 
 
+def _chain(spec: dict) -> str:
+    """The spec's Markov chain in lower case, or "" when it names none."""
+    chain = str(spec.get("chain", "")).lower()
+    if chain not in ("", "x-y1-y2", "x-y2-y1"):
+        raise InvalidSpecError(f"chain must be x-y1-y2 or x-y2-y1, got {spec['chain']!r}")
+    return chain
+
+
 def run_coop_cr(spec: dict) -> dict:
     src, m1, m2 = _finite_instance(spec)
-    chain = str(spec.get("chain", "")).lower()
+    chain = _chain(spec)
     if not chain:
         if check_markov_chain(src, "x-y1-y2"):
             chain = "x-y1-y2"
@@ -345,6 +353,7 @@ def run_cascade_cr(spec: dict) -> dict:
     model = spec["model"]
     var, values = _sweep_values(spec)
     solvers = _solver_list(spec, ("closed_form", "grid", "descent"), "closed_form")
+    given_chain = _chain(spec)
     rows = []
     meta: dict[str, Any] = {}
     for value in values:
@@ -365,9 +374,8 @@ def run_cascade_cr(spec: dict) -> dict:
             else:
                 src, m1, m2 = _finite_instance(spec)
                 cfg = _sampler_config(spec)
-                chain = str(spec.get("chain", "")).lower()
-                if not chain:
-                    chain = "x-y2-y1" if check_markov_chain(src, "x-y2-y1") else "x-y1-y2"
+                chain = given_chain or ("x-y2-y1" if check_markov_chain(src, "x-y2-y1")
+                                        else "x-y1-y2")
                 if chain == "x-y1-y2":
                     region = cascade_region_xy1y2(src, m1, m2, pair, cfg)
                     rows.extend(_region_rows(region, solver))

@@ -8,16 +8,24 @@ converges as the step shrinks (the feasible set is a polytope and the
 objective is continuous), and it is independent of any closed form, which
 is what makes it usable as a cross-check.
 
+Each slice's grid is `simplex_grid`, a stars-and-bars enumeration without
+recursion whose rows come out in lexicographic order.  One oracle call
+builds each grid once per distinct cell count, and slices with the same
+allowed cells share one padded row array and one row-entropy vector; the
+zero-rate check reuses those grids.  Nothing is cached across calls.
+
 One enumeration algorithm serves every source alphabet, with work that
 scales with the number of *feasible* channels rather than the full product
 grid: slices are walked depth first, rows with one cost profile are
 expanded once per group, and the last slice is scanned through a
 cost-sorted prefix.  Channels stream in batches of at most `batch`, and
 about that many are held at once, so memory is bounded by the batch size
-whatever the metric.  Exact ties go to the lexicographically smallest
-channel, independent of enumeration order and batching.  A zero-rate
-shortcut answers loose budgets outright (if any constant channel on the
-grid is feasible, the minimum is exactly 0).
+whatever the metric; the oracles size their batch by the reconstruction
+cell count, so the objective's per-batch mixture rows stay bounded too.
+Exact ties go to the lexicographically smallest channel, independent of
+enumeration order and batching.  A zero-rate shortcut answers loose
+budgets outright (if any constant channel on the grid is feasible, the
+minimum is exactly 0).
 The objective is `measures.GridTerms` over `HB_CR_TERMS` (or `POINT_TERMS`
 for one decoder): per channel it recomputes only the mixture entropies over
 side symbols seen from several source symbols and gathers everything else
@@ -26,6 +34,7 @@ from per-row precomputations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -59,18 +68,28 @@ HB_GUARD_DEFAULT = 1_000_000_000
 def simplex_grid(units: int, cells: int) -> np.ndarray:
     """All nonnegative integer vectors of length `cells` summing to `units`.
 
-    Rows are in lexicographic order; divide by `units` for grid pmfs.
+    Rows are in lexicographic order; divide by `units` for grid pmfs.  The
+    enumeration is stars and bars: each row is one placement of
+    `cells - 1` bars among `units + cells - 1` slots, and the gaps between
+    consecutive bars are its entries.  `itertools.combinations` yields the
+    placements in lexicographic order, which is the rows' order too.
     """
+    for name, value in (("units", units), ("cells", cells)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidSpecError(f"simplex_grid needs an integer {name}, got {value!r}")
     if cells < 1 or units < 0:
         raise InvalidSpecError("simplex_grid needs cells >= 1 and units >= 0")
-    if cells == 1:
-        return np.array([[units]], dtype=np.int32)
-    blocks = []
-    for first in range(units + 1):
-        rest = simplex_grid(units - first, cells - 1)
-        col = np.full((rest.shape[0], 1), first, dtype=np.int32)
-        blocks.append(np.hstack([col, rest]))
-    return np.vstack(blocks)
+    slots = int(units) + int(cells) - 1
+    n = math.comb(slots, cells - 1)
+    # bar positions, between a virtual bar before the first slot and one after the last
+    edges = np.empty((n, cells + 1), dtype=np.int32)
+    edges[:, 0], edges[:, -1] = -1, slots
+    edges[:, 1:-1] = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), cells - 1)),
+        dtype=np.int32, count=n * (cells - 1)).reshape(n, cells - 1)
+    rows = np.diff(edges, axis=1)
+    rows -= 1
+    return rows
 
 
 def step_units(step: float) -> int:
@@ -80,6 +99,23 @@ def step_units(step: float) -> int:
     if abs(k * step - 1.0) > 1e-9:
         raise InvalidSpecError(f"step must divide 1 evenly, got {step}")
     return k
+
+
+class _Grids:
+    """The grid pmf rows `simplex_grid(units, cells) / units` of one oracle
+    call, built once per cell count and shared by every slice that needs
+    them.  Nothing outlives the call."""
+
+    def __init__(self, units: int):
+        self.units = units
+        self._rows: dict[int, np.ndarray] = {}
+
+    def rows(self, cells: int) -> np.ndarray:
+        if cells not in self._rows:
+            rows = simplex_grid(self.units, cells).astype(np.float64)
+            rows /= self.units
+            self._rows[cells] = rows
+        return self._rows[cells]
 
 
 @dataclass
@@ -92,37 +128,51 @@ class _Slice:
     h_row: np.ndarray        # (N,) entropy of the row
 
 
-def _build_slice(units: int, allowed_flat: np.ndarray, n_full: int,
-                 cost_vectors: Sequence[np.ndarray]) -> _Slice:
-    cells = np.flatnonzero(allowed_flat)
-    if cells.size == 0:
-        raise InfeasibleBudgetError("a source symbol has no allowed reconstruction")
-    rows = simplex_grid(units, cells.size).astype(np.float64) / units
-    padded = np.zeros((rows.shape[0], n_full))
-    padded[:, cells] = rows
-    costs = np.stack([rows @ cv[cells] for cv in cost_vectors])
-    return _Slice(cells=cells, padded=padded, costs=costs, h_row=entropy_rows(rows))
+def _build_slices(grids: _Grids, allowed: Sequence[np.ndarray], n_full: int,
+                  cost_full: list[list[np.ndarray]]) -> list[_Slice]:
+    """One slice per source symbol x, on the cells `allowed[x]` flags.
 
-
-def _zero_rate_witness(slices: list[_Slice], n_full: int, units: int,
-                       cost_cells: list[list[np.ndarray]],
-                       budgets: np.ndarray) -> np.ndarray | None:
-    """Feasible constant channel on the grid, or None.
-
-    cost_cells[j][x] is the p(x)-weighted distortion vector of budget j on
-    the full cell space for slice x.
+    cost_full[j][x] is the p(x)-weighted distortion vector of budget j on
+    the full cell space for slice x.  Slices with the same allowed cells
+    share one padded row array and one row-entropy vector; with every cell
+    allowed, the padded array is the grid itself.
     """
+    shared: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+    slices = []
+    for x, allowed_x in enumerate(allowed):
+        cells = np.flatnonzero(allowed_x)
+        if cells.size == 0:
+            raise InfeasibleBudgetError("a source symbol has no allowed reconstruction")
+        rows = grids.rows(cells.size)
+        key = cells.tobytes()
+        if key not in shared:
+            padded = rows
+            if cells.size < n_full:
+                padded = np.zeros((rows.shape[0], n_full))
+                padded[:, cells] = rows
+            shared[key] = padded, entropy_rows(rows)
+        padded, h_row = shared[key]
+        costs = np.stack([rows @ cv[x][cells] for cv in cost_full])
+        slices.append(_Slice(cells=cells, padded=padded, costs=costs, h_row=h_row))
+    return slices
+
+
+def _zero_rate_witness(slices: list[_Slice], grids: _Grids, n_full: int,
+                       cost_full: list[list[np.ndarray]],
+                       budgets: np.ndarray) -> np.ndarray | None:
+    """Feasible constant channel on the grid, or None (`cost_full` as in
+    `_build_slices`)."""
     common = slices[0].cells
     for s in slices[1:]:
         common = np.intersect1d(common, s.cells)
     if common.size == 0:
         return None
-    rows = simplex_grid(units, common.size).astype(np.float64) / units
+    rows = grids.rows(common.size)
     ok = np.ones(rows.shape[0], dtype=bool)
     for j, budget in enumerate(budgets):
         total = np.zeros(rows.shape[0])
         for x in range(len(slices)):
-            total += rows @ cost_cells[j][x][common]
+            total += rows @ cost_full[j][x][common]
         ok &= total <= budget + SLACK + SLACK * abs(budget)
     hits = np.flatnonzero(ok)
     if hits.size == 0:
@@ -133,7 +183,7 @@ def _zero_rate_witness(slices: list[_Slice], n_full: int, units: int,
 
 
 def _feasible_batches(slices: list[_Slice], budgets: np.ndarray,
-                      batch: int = BATCH) -> Iterator[tuple[np.ndarray, ...]]:
+                      batch: int) -> Iterator[tuple[np.ndarray, ...]]:
     """Yield index-column tuples of at most `batch` grid channels meeting
     all (one or more) budgets, each such channel once.  Pieces stay within
     `batch` (or one slice's rows), so memory is bounded by the batch size.
@@ -229,6 +279,13 @@ def _grid_argmin(objective: GridTerms, batches: Iterator[tuple[np.ndarray, ...]]
     return best, best_idx
 
 
+def _oracle_batch(n_full: int) -> int:
+    """Channels per objective batch over `n_full` reconstruction cells:
+    `BATCH` up to 4 cells, fewer beyond, so that one batch's (B, n_full)
+    float64 mixture rows never outgrow a 4-cell batch of `BATCH`."""
+    return max(1, min(BATCH, BATCH * 4 // n_full))
+
+
 def _check_guard_counts(support_sizes: list[int], units: int, guard: int) -> None:
     """Reject oversized product grids before any row array is built."""
     prod = 1
@@ -262,18 +319,18 @@ def grid_oracle_point_cr(pair_pmf: FinitePmf, metric: DistortionMetric,
                          for x in range(nx)], k, guard)
     cost_full = [[px[x] * np.where(np.isfinite(metric.matrix[x]),
                                    metric.matrix[x], 0.0) for x in range(nx)]]
-    slices = [
-        _build_slice(k, np.isfinite(metric.matrix[x]), n_full, [cost_full[0][x]])
-        for x in range(nx)
-    ]
+    grids = _Grids(k)
+    slices = _build_slices(grids, np.isfinite(metric.matrix), n_full, cost_full)
     budgets = np.array([d])
 
-    if _zero_rate_witness(slices, n_full, k, cost_full, budgets) is not None:
+    if _zero_rate_witness(slices, grids, n_full, cost_full, budgets) is not None:
         return 0.0
+    del grids   # the enumeration keeps only what the slices hold
 
     objective = GridTerms(POINT_TERMS, px, {1: p_xy}, [s.padded for s in slices],
                           [s.h_row for s in slices], (n_full, 1))
-    best, _ = _grid_argmin(objective, _feasible_batches(slices, budgets))
+    best, _ = _grid_argmin(objective, _feasible_batches(slices, budgets,
+                                                        _oracle_batch(n_full)))
     if not math.isfinite(best):
         raise InfeasibleBudgetError(
             f"no grid channel meets E[d] <= {d} at step {step}")
@@ -281,7 +338,7 @@ def grid_oracle_point_cr(pair_pmf: FinitePmf, metric: DistortionMetric,
 
 
 def _hb_slices(source: JointSource, metric1: DistortionMetric,
-               metric2: DistortionMetric, k: int, guard: int):
+               metric2: DistortionMetric, grids: _Grids, guard: int):
     nx = source.nx
     if metric1.n_inputs != nx or metric2.n_inputs != nx:
         raise ShapeMismatchError("metric rows must equal |X|")
@@ -291,7 +348,7 @@ def _hb_slices(source: JointSource, metric1: DistortionMetric,
          & np.isfinite(metric2.matrix[x])[None, :]).reshape(-1)
         for x in range(nx)
     ]
-    _check_guard_counts([int(a.sum()) for a in allowed], k, guard)
+    _check_guard_counts([int(a.sum()) for a in allowed], grids.units, guard)
     px = source.x_marginal()
     d1 = np.where(np.isfinite(metric1.matrix), metric1.matrix, 0.0)
     d2 = np.where(np.isfinite(metric2.matrix), metric2.matrix, 0.0)
@@ -299,11 +356,7 @@ def _hb_slices(source: JointSource, metric1: DistortionMetric,
         [px[x] * np.repeat(d1[x], m2) for x in range(nx)],
         [px[x] * np.tile(d2[x], m1) for x in range(nx)],
     ]
-    slices = [
-        _build_slice(k, allowed[x], m1 * m2, [cost_full[0][x], cost_full[1][x]])
-        for x in range(nx)
-    ]
-    return slices, cost_full, m1, m2
+    return _build_slices(grids, allowed, m1 * m2, cost_full), cost_full, m1, m2
 
 
 def grid_oracle_hb_cr(source: JointSource, metric1: DistortionMetric,
@@ -316,20 +369,22 @@ def grid_oracle_hb_cr(source: JointSource, metric1: DistortionMetric,
     p(xh1,xh2|x) meeting both distortion budgets; returns the minimum and
     the achieving channel.
     """
-    k = step_units(step)
-    slices, cost_full, m1, m2 = _hb_slices(source, metric1, metric2, k, guard)
+    grids = _Grids(step_units(step))
+    slices, cost_full, m1, m2 = _hb_slices(source, metric1, metric2, grids, guard)
     budgets = np.array([pair.d1, pair.d2])
     nx = source.nx
 
-    row = _zero_rate_witness(slices, m1 * m2, k, cost_full, budgets)
+    row = _zero_rate_witness(slices, grids, m1 * m2, cost_full, budgets)
     if row is not None:
         cond = np.tile(row.reshape(1, m1, m2), (nx, 1, 1))
         return 0.0, TestChannel(cond)
+    del grids   # the enumeration keeps only what the slices hold
 
     objective = GridTerms(HB_CR_TERMS, source.x_marginal(),
                           {1: source.xy1_marginal(), 2: source.xy2_marginal()},
                           [s.padded for s in slices], [s.h_row for s in slices], (m1, m2))
-    best, best_idx = _grid_argmin(objective, _feasible_batches(slices, budgets))
+    best, best_idx = _grid_argmin(objective, _feasible_batches(slices, budgets,
+                                                               _oracle_batch(m1 * m2)))
     if not math.isfinite(best):
         raise InfeasibleBudgetError(
             f"no grid channel meets budgets {pair} at step {step}")
@@ -350,8 +405,8 @@ def feasible_hb_channel_batches(
     sweep keeps a rate point per channel), not the product grid; it is
     raised when the batch that crosses it is reached.
     """
-    k = step_units(step)
-    slices, _, m1, m2 = _hb_slices(source, metric1, metric2, k, HB_GUARD_DEFAULT)
+    slices, _, m1, m2 = _hb_slices(source, metric1, metric2, _Grids(step_units(step)),
+                                   HB_GUARD_DEFAULT)
     seen = 0
     for idx in _feasible_batches(slices, np.array([pair.d1, pair.d2]), batch):
         seen += idx[0].size

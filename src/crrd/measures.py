@@ -161,17 +161,27 @@ def batch_terms(joint: np.ndarray, terms: tuple[MITerm, ...]) -> np.ndarray:
     return total
 
 
+def _once_each(fn, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """`[fn(a) for a in arrays]`, computing `fn` once per distinct array
+    object (slices with the same cells share their row array)."""
+    done: dict[int, np.ndarray] = {}
+    for a in arrays:
+        if id(a) not in done:
+            done[id(a)] = fn(a)
+    return [done[id(a)] for a in arrays]
+
+
 class _MixEntropyTerms:
     """Per-channel value of scale * sum_y p(y) H(mix of slice rows) for one
     side axis.
 
     Columns of p(x, y) seen from a single source symbol reduce to gathers
-    of per-row entropies; the rest are genuine mixtures.
+    of per-row entropies, computed for those symbols only; the rest are
+    genuine mixtures.
     """
 
     def __init__(self, p_xy: np.ndarray, row_arrays: list[np.ndarray], scale: int = 1):
         self.rows = row_arrays
-        self.h_rows = [entropy_rows(r) for r in row_arrays]
         self.pure: list[tuple[float, int]] = []
         self.mixed: list[tuple[float, np.ndarray]] = []
         py = p_xy.sum(axis=0)
@@ -183,6 +193,9 @@ class _MixEntropyTerms:
                 self.pure.append((scale * float(py[y]), int(supp[0])))
             else:
                 self.mixed.append((scale * float(py[y]), p_xy[:, y] / py[y]))
+        pure_x = sorted({x for _, x in self.pure})
+        self.h_rows = dict(zip(pure_x, _once_each(entropy_rows,
+                                                  [row_arrays[x] for x in pure_x])))
 
     def eval(self, idx: tuple[np.ndarray, ...]) -> np.ndarray:
         out = np.zeros(idx[0].size)
@@ -217,10 +230,14 @@ class GridTerms:
         m1, m2 = shape
         full = frozenset((1, 2))
 
+        margs = {full: rows}   # reconstruction axes -> marginal rows per x
+
         def marg(axes: frozenset) -> list[np.ndarray]:
-            if axes == full:
-                return rows
-            return [r.reshape(-1, m1, m2).sum(axis=2 if axes == {1} else 1) for r in rows]
+            if axes not in margs:
+                axis = 2 if axes == {1} else 1
+                margs[axes] = _once_each(lambda r: r.reshape(-1, m1, m2).sum(axis=axis),
+                                         rows)
+            return margs[axes]
 
         side, own = Counter(), Counter()   # entropy entry -> coefficient
         for t in terms:
@@ -234,7 +251,7 @@ class GridTerms:
         self.side = [_MixEntropyTerms(p_xy[y], marg(axes), c)
                      for (y, axes), c in side.items() if c]
         self.own = [(c * px, h_rows if axes == full
-                     else [entropy_rows(r) for r in marg(axes)])
+                     else _once_each(entropy_rows, marg(axes)))
                     for axes, c in own.items() if c]
 
     def eval(self, idx: tuple[np.ndarray, ...]) -> np.ndarray:

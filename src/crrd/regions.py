@@ -95,6 +95,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.method not in ("grid", "scalarize"):
             raise InvalidSpecError("sampler method must be 'grid' or 'scalarize'")
+        if self.n_weights < 1:
+            raise InvalidSpecError(f"n_weights must be >= 1, got {self.n_weights}")
 
 
 def _channel_sweep(source: JointSource, metric1: DistortionMetric,

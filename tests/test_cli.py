@@ -121,11 +121,17 @@ class TestExitCodes:
         ["conr", "--model", "binary-erased:1,0.35", "--d1", "0.1", "--d2", "0.05",
          "--de1", "nan", "--step", "0.25"],
         ["degradedness", "--model", "custom:{int_labels}"],
+        ["coop-cr", "--model", "binary-erased:1,0.35", "--d1", ".3", "--d2", ".3",
+         "--solver", "grid", "--step", ".25", "--chain", "foo"],
+        ["cascade-cr", "--model", "binary-erased:1,0.35", "--d1", ".3", "--d2", ".3",
+         "--solver", "grid", "--step", ".25", "--chain", "foo"],
+        ["coop-cr", "--model", "binary-erased:1,0.35", "--d1", ".3", "--d2", ".3",
+         "--solver", "descent", "--weights", "0"],
     ], ids=["sweep-number", "binary-number", "gaussian-number", "custom-key",
             "spec-number", "source-key", "source-length", "metric-length",
             "pair-pmf-key", "spec-not-object", "spec-int-overflow", "metric-type",
             "negative-seed", "nan-point-budget", "nan-wz-budget", "nan-conr-budget",
-            "labels-type"])
+            "labels-type", "coop-chain", "cascade-chain", "zero-weights"])
     def test_malformed_spec_exits_2(self, argv, tmp_path, capsys):
         src = json.loads(crrd.build_erased_source(crrd.BinaryErasureSpec(0.5, 0.35)).to_json())
         ham = json.loads(crrd.DistortionMetric.hamming(2).to_json())
@@ -215,18 +221,46 @@ _SPECS = st.fixed_dictionaries(
     optional={k: v for k, v in _SPEC_FIELDS.items() if k not in _SPEC_REQUIRED})
 
 
+# Region commands run the grid solver only, at steps whose grids are tiny.
+# A valid base spec with drawn overrides, so that many draws run a sampler.
+_REGION_BASE = st.fixed_dictionaries({
+    "model": st.sampled_from(["binary-erased:1,0.35", "binary-erased:0.5,0.35"]),
+    "d1": st.floats(min_value=0.0, max_value=0.6),
+    "d2": st.floats(min_value=0.0, max_value=0.6),
+    "step": st.sampled_from([0.25, 0.5]),
+    "solver": st.just("grid"),
+})
+_REGION_SPECS = st.tuples(_REGION_BASE, st.fixed_dictionaries({}, optional={
+    **{k: v for k, v in _SPEC_FIELDS.items() if k != "solver"},
+    "chain": st.sampled_from(["x-y1-y2", "x-y2-y1", "X-Y2-Y1", "foo", ""]) | _BAD,
+    "weights": st.integers(min_value=-1, max_value=3) | _BAD,
+})).map(lambda specs: {**specs[0], **specs[1]})
+
+
+def _assert_exit_documented(tmp_path_factory, command, spec, data):
+    """Put a drawn subset of the spec on argv, the rest in a spec file."""
+    on_argv = data.draw(st.lists(st.sampled_from(sorted(spec)), unique=True))
+    path = tmp_path_factory.mktemp("spec") / "spec.json"
+    path.write_text(json.dumps({k: v for k, v in spec.items() if k not in on_argv}))
+    argv = [command, "--spec", str(path)]
+    for key in on_argv:
+        argv += [f"--{key.replace('_', '-')}", str(spec[key])]
+    assert _exit_code(argv) in (0, 2, 3, 4)
+
+
 class TestExitCodeContract:
     @given(command=st.sampled_from(["point-cr", "hb-cr", "wz", "conr", "degradedness"]),
            spec=_SPECS, data=st.data())
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_exit_code_always_documented(self, tmp_path_factory, command, spec, data):
-        on_argv = data.draw(st.lists(st.sampled_from(sorted(spec)), unique=True))
-        path = tmp_path_factory.mktemp("spec") / "spec.json"
-        path.write_text(json.dumps({k: v for k, v in spec.items() if k not in on_argv}))
-        argv = [command, "--spec", str(path)]
-        for key in on_argv:
-            argv += [f"--{key.replace('_', '-')}", str(spec[key])]
-        assert _exit_code(argv) in (0, 2, 3, 4)
+        _assert_exit_documented(tmp_path_factory, command, spec, data)
+
+    @given(command=st.sampled_from(["coop-cr", "cascade-cr"]), spec=_REGION_SPECS,
+           data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_region_commands_exit_code_documented(self, tmp_path_factory, command,
+                                                  spec, data):
+        _assert_exit_documented(tmp_path_factory, command, spec, data)
 
 
 class TestDegradedness:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from crrd import (
     FinitePmf,
     GuardExceededError,
     InfeasibleBudgetError,
+    InvalidSpecError,
     eval_distortions,
     eval_hb_cr_objective,
     grid_oracle_hb_cr,
@@ -48,6 +51,23 @@ class TestSimplexGrid:
         g = simplex_grid(2, 3)
         rows = [tuple(r) for r in g]
         assert rows == sorted(rows)
+
+    @pytest.mark.parametrize("cells", range(1, 7))
+    def test_matches_filtered_product(self, cells):
+        for units in range(13):
+            # each vector's last entry is fixed by the others
+            want = sorted(head + (units - sum(head),)
+                          for head in itertools.product(range(units + 1), repeat=cells - 1)
+                          if sum(head) <= units)
+            got = simplex_grid(units, cells)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, np.array(want).reshape(-1, cells))
+
+    @pytest.mark.parametrize("units, cells", [(2.0, 3), (2, 3.0), (True, 2), (2, True),
+                                              ("2", 3), (-1, 2), (2, 0)])
+    def test_rejects_bad_sizes(self, units, cells):
+        with pytest.raises(InvalidSpecError):
+            simplex_grid(units, cells)
 
 
 class TestPointOracle:
@@ -214,3 +234,39 @@ class TestChannelBatches:
             list(feasible_hb_channel_batches(erased_full, hamming2, hamming2,
                                              DistortionPair(0.5, 0.5), step=0.05,
                                              guard=100))
+
+
+class TestSharedGrids:
+    def test_mixed_cell_counts_match_direct_minimum(self):
+        # slices of 4, 4 and 2 cells: one grid per cell count within the call.
+        # At these budgets the minimizer is unique (the next channel is 1.1e-3
+        # bits worse); at the instance's own budgets three channels tie in
+        # exact arithmetic and rounding decides which one the oracle sees lowest
+        source, metric1, metric2, _ = _THREE_SYMBOLS
+        pair = DistortionPair(0.5, 0.5)
+        rate, wit = grid_oracle_hb_cr(source, metric1, metric2, pair, step=0.25)
+        chans = _direct_feasible(source, metric1, metric2, pair, units=4)
+        vals = np.array([eval_hb_cr_objective(source, crrd.TestChannel(c)) for c in chans])
+        assert rate == pytest.approx(vals.min(), abs=1e-12)
+        tied = [tuple(c.reshape(-1)) for c in chans[vals <= vals.min() + 1e-12]]
+        assert tuple(wit.cond.reshape(-1)) == min(tied)
+
+
+class TestBatchMemory:
+    def test_objective_batch_shrinks_with_cell_count(self):
+        # X uniform binary, no side information, 16 reconstruction cells
+        # (8 allowed per symbol): 1,123,980 feasible channels at step 1/6,
+        # so a batch of 2,000,000 would hold them all at once
+        source = crrd.JointSource(np.full((2, 1, 1), 0.5))
+        metric1 = DistortionMetric(np.array([[0, 0, np.inf, np.inf],
+                                             [np.inf, np.inf, 0, 1]]))
+        metric2 = DistortionMetric(np.array([[0.0, 0, 0, 0], [1, 0, 1, 0]]))
+        tracemalloc.start()
+        try:
+            rate, _ = grid_oracle_hb_cr(source, metric1, metric2,
+                                        DistortionPair(0.3, 0.3), step=1 / 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rate == pytest.approx(1.0, abs=1e-12)
+        assert peak < 400 * 2**20   # 601 MiB with batches of 2,000,000

@@ -226,6 +226,11 @@ class TestScalarizedSampler:
         best_sc = min(p.r1 + p.r2 for p in sc_region.points)
         assert best_sc <= best_grid + 1e-3
 
+    @pytest.mark.parametrize("n_weights", [0, -2])
+    def test_needs_at_least_one_weight(self, n_weights):
+        with pytest.raises(InvalidSpecError):
+            SamplerConfig(method="scalarize", n_weights=n_weights)
+
 
 def _reference_bits(joint, terms):
     """Sum of MITerms via the reference CMI on compose_joint axes
