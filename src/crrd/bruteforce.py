@@ -18,6 +18,17 @@ combinations per decoder (the encoder map is again pointwise-exact given
 the decoder map); beyond the budget a reduced candidate set is used and
 the result is flagged heuristic.
 
+Budget feasibility, not the objective, is most of the work, so it never
+touches channels one by one.  `_grid_min` walks the product grid in
+blocks of at most `BATCH` channels: a chunk of prefix rows (the first
+|X| - 1 slices) against the rows of the last slice.  Each budget test
+broadcasts per-row tables of the slices into a (prefix, last) mask, and
+only the channels that pass every test are gathered for the objective,
+so memory stays bounded by `BATCH`.  Under constrained reconstruction a
+decoder map whose budget tables are entrywise no smaller than another
+map's is dropped before the scan (it is feasible only where its
+dominator is); `ConRResult.map_counts` still counts the enumerated maps.
+
 The objectives are `measures.GridTerms` over the term lists in
 `crrd.measures` (`HB_CR_TERMS`, or `POINT_TERMS` for Wyner-Ziv), with the
 auxiliary in place of the reconstruction.
@@ -39,7 +50,7 @@ from .channels import ConRConstraint
 from .closed_form import DistortionPair
 from .errors import GuardExceededError, InfeasibleBudgetError, InvalidSpecError, \
     ShapeMismatchError
-from .gridsearch import BATCH, POINT_GUARD_DEFAULT, SLACK, simplex_grid, step_units
+from .gridsearch import BATCH, POINT_GUARD_DEFAULT, budget_limit, simplex_grid, step_units
 from .measures import HB_CR_TERMS, POINT_TERMS, GridTerms, entropy_rows
 from .prob import DistortionMetric, FinitePmf, JointSource, check_budget
 
@@ -64,19 +75,48 @@ def _u_grid(nx: int, n_cells: int, step: float, guard: int) -> np.ndarray:
 
 def _grid_min(rows: np.ndarray, nx: int, objective: GridTerms, *feasible) -> float:
     """Smallest objective over the channels of the `nx`-fold product of the
-    grid `rows` that pass each `feasible(idx)` mask in turn (inf if none);
-    the product is walked in lexicographic order, `BATCH` channels at a time."""
-    shape = (rows.shape[0],) * nx
-    total = math.prod(shape)
+    grid `rows` that pass every `feasible` test (inf if none).
+
+    The product is walked in lexicographic order, one block at a time: a
+    chunk of prefix rows (index columns of the first nx - 1 slices) paired
+    with a run of last-slice rows, at most `BATCH` channels in all.  A
+    block reaches each test as index columns shaped (b0, 1) for the prefix
+    and (1, nl) for the last slice, so a test broadcasts per-row tables into
+    a (b0, nl) mask.  Only the channels that pass are gathered for the
+    objective, so memory is bounded by `BATCH`.
+    """
+    n = rows.shape[0]
+    n_last = min(n, BATCH)
+    b0 = BATCH // n_last
+    prefix_shape = (n,) * (nx - 1)
+    n_prefix = math.prod(prefix_shape)
     best = math.inf
-    for start in range(0, total, BATCH):
-        idx = np.unravel_index(np.arange(start, min(start + BATCH, total)), shape)
-        for keep in feasible:
-            mask = keep(idx)
-            idx = tuple(col[mask] for col in idx)
-        if idx[0].size:
-            best = min(best, float(objective.eval(idx).min()))
+    for start in range(0, n_prefix, b0):
+        pos = np.arange(start, min(start + b0, n_prefix))
+        prefix = np.unravel_index(pos, prefix_shape) if nx > 1 else ()
+        for lo in range(0, n, n_last):
+            last = np.arange(lo, min(lo + n_last, n))
+            block = tuple(col[:, None] for col in prefix) + (last[None, :],)
+            mask = np.ones((pos.size, last.size), dtype=bool)
+            for keep in feasible:
+                mask &= keep(block)
+                if not mask.any():
+                    break
+            hit_prefix, hit_last = np.nonzero(mask)
+            if hit_last.size:
+                idx = tuple(col[hit_prefix] for col in prefix) + (last[hit_last],)
+                best = min(best, float(objective.eval(idx).min()))
     return best
+
+
+def _gather_sum(tables: list[tuple[int, np.ndarray]], block: tuple[np.ndarray, ...]):
+    """sum_x table_x[block[x]] over the (x, per-row table) pairs, added in
+    their order; broadcasts to the block's (b0, nl) shape."""
+    total = None
+    for x, table in tables:
+        part = table[block[x]]
+        total = part if total is None else total + part
+    return total
 
 
 def _hb_grid(source: JointSource, u_caps: tuple[int, int], step: float, guard: int):
@@ -107,39 +147,45 @@ def _map_free_distortion(p_xy: np.ndarray, metric: DistortionMetric) -> float:
     return float(total)
 
 
-def _min_decoder_distortion(p_xy: np.ndarray, m_u: np.ndarray,
-                            idx: tuple[np.ndarray, ...],
-                            metric: DistortionMetric) -> np.ndarray:
-    """Vector over the batch of min_map E[d(X, xhat(U,Y))].
+def _decoder_budget_test(p_xy: np.ndarray, m_u: np.ndarray, metric: DistortionMetric,
+                         limit: float):
+    """`_grid_min` test: min over decoder maps of E[d(X, xhat(U,Y))] <= limit.
 
-    m_u is the (N, |U|) marginal of the auxiliary on the grid rows; the best
-    map picks, for each (u, y), the reconstruction minimizing the
+    m_u is the (N, |U|) marginal of the auxiliary on the grid rows.  The
+    best map picks, for each (u, y), the reconstruction c minimizing the
     posterior-weighted distortion, which is exact because the budget is a
-    sum of independent (u, y) cells.
+    sum of independent (u, y) cells.  Slice x holds the per-row table
+    (p(x,y) m_u[:, u]) d(x, c) of each cell and c; a block adds the tables
+    across slices, folds over c with a minimum and accumulates the cells in
+    (u, y) order.  A c that some slice forbids is +inf wherever the weight
+    on its forbidden slices exceeds 1e-15.
     """
     nx, ny = p_xy.shape
-    nu = m_u.shape[1]
     fin = np.isfinite(metric.matrix)
     d0 = np.where(fin, metric.matrix, 0.0)
-    bad = (~fin).astype(float)
-    out = np.zeros(idx[0].size)
-    for u in range(nu):
+    cells = []   # per (u, y): per c, (cost tables, forbidden-weight tables)
+    for u in range(m_u.shape[1]):
         for y in range(ny):
-            cost = None
-            badw = None
-            for x in range(nx):
-                if p_xy[x, y] <= 0:
-                    continue
-                w = p_xy[x, y] * m_u[idx[x], u]   # (B,)
-                c = w[:, None] * d0[x][None, :]
-                b = w[:, None] * bad[x][None, :]
-                cost = c if cost is None else cost + c
-                badw = b if badw is None else badw + b
-            if cost is None:
+            xs = [x for x in range(nx) if p_xy[x, y] > 0]
+            if not xs:
                 continue
-            cost = np.where(badw > 1e-15, np.inf, cost)
-            out += cost.min(axis=1)
-    return out
+            w = {x: p_xy[x, y] * m_u[:, u] for x in xs}
+            cells.append([([(x, w[x] * d0[x, c]) for x in xs],
+                           [(x, w[x]) for x in xs if not fin[x, c]])
+                          for c in range(d0.shape[1])])
+
+    def test(block: tuple[np.ndarray, ...]) -> np.ndarray:
+        total = 0.0
+        for cell in cells:
+            low = None
+            for cost_tables, bad_tables in cell:
+                cost = _gather_sum(cost_tables, block)
+                if bad_tables:
+                    cost = np.where(_gather_sum(bad_tables, block) > 1e-15, np.inf, cost)
+                low = cost if low is None else np.minimum(low, cost)
+            total = total + low
+        return total <= limit
+    return test
 
 
 def brute_force_wz(pair_pmf: FinitePmf, metric: DistortionMetric, d: float,
@@ -158,13 +204,13 @@ def brute_force_wz(pair_pmf: FinitePmf, metric: DistortionMetric, d: float,
     nx = p_xy.shape[0]
     if metric.n_inputs != nx:
         raise ShapeMismatchError("metric rows must equal |X|")
-    if _map_free_distortion(p_xy, metric) <= d + SLACK:
+    if _map_free_distortion(p_xy, metric) <= budget_limit(d):
         return 0.0
     rows = _u_grid(nx, u_cap, step, guard)
     objective = GridTerms(POINT_TERMS, p_xy.sum(axis=1), {1: p_xy}, [rows] * nx,
                           [entropy_rows(rows)] * nx, (u_cap, 1))
-    best = _grid_min(rows, nx, objective, lambda idx: _min_decoder_distortion(
-        p_xy, rows, idx, metric) <= d + SLACK + SLACK * abs(d))
+    best = _grid_min(rows, nx, objective,
+                     _decoder_budget_test(p_xy, rows, metric, budget_limit(d)))
     if not math.isfinite(best):
         raise InfeasibleBudgetError(f"no auxiliary grid channel meets E[d] <= {d}")
     return max(0.0, best)
@@ -184,16 +230,14 @@ def brute_force_hb_nocr(source: JointSource, metric1: DistortionMetric,
         raise InvalidSpecError("auxiliary caps must be >= 1")
     p_xy1 = source.xy1_marginal()
     p_xy2 = source.xy2_marginal()
-    if (_map_free_distortion(p_xy1, metric1) <= pair.d1 + SLACK
-            and _map_free_distortion(p_xy2, metric2) <= pair.d2 + SLACK):
+    if (_map_free_distortion(p_xy1, metric1) <= budget_limit(pair.d1)
+            and _map_free_distortion(p_xy2, metric2) <= budget_limit(pair.d2)):
         return 0.0
     rows, m1_rows, m2_rows, objective = _hb_grid(source, u_caps, step, guard)
     best = _grid_min(
         rows, source.nx, objective,
-        lambda idx: _min_decoder_distortion(p_xy1, m1_rows, idx, metric1)
-        <= pair.d1 + SLACK + SLACK * abs(pair.d1),
-        lambda idx: _min_decoder_distortion(p_xy2, m2_rows, idx, metric2)
-        <= pair.d2 + SLACK + SLACK * abs(pair.d2))
+        _decoder_budget_test(p_xy1, m1_rows, metric1, budget_limit(pair.d1)),
+        _decoder_budget_test(p_xy2, m2_rows, metric2, budget_limit(pair.d2)))
     if not math.isfinite(best):
         raise InfeasibleBudgetError(f"no auxiliary grid channel meets budgets {pair}")
     return max(0.0, best)
@@ -274,31 +318,88 @@ def _conr_cost_tables(maps: np.ndarray, p_xy: np.ndarray, px: np.ndarray,
     return cd, ce
 
 
-def _side_feasible(m_u: np.ndarray, idx: tuple[np.ndarray, ...], cd: np.ndarray,
-                   ce: np.ndarray, d_budget: float, e_budget: float) -> np.ndarray:
-    """(B,) bool: some map of the `_conr_cost_tables` (cd, ce) meets both
-    budgets; m_u is the (N, |U|) auxiliary marginal on the grid rows."""
-    b = idx[0].size
-    mu = np.stack([m_u[i] for i in idx], axis=2)  # (B, nu, nx)
-    # pointwise-over-maps relaxation prunes before the exact scan
-    lb_d = np.einsum("bux,ux->b", mu, cd.min(axis=0))
-    lb_e = np.einsum("bux,ux->b", mu, ce.min(axis=0))
-    cand = (lb_d <= d_budget + SLACK) & (lb_e <= e_budget + SLACK)
-    out = np.zeros(b, dtype=bool)
-    live = np.flatnonzero(cand)
-    if live.size == 0:
-        return out
-    mu_live = mu[live]
-    undecided = np.ones(live.size, dtype=bool)
-    for m in range(cd.shape[0]):
-        if not undecided.any():
-            break
-        ed = np.einsum("bux,ux->b", mu_live, cd[m])
-        ee = np.einsum("bux,ux->b", mu_live, ce[m])
-        hit = undecided & (ed <= d_budget + SLACK) & (ee <= e_budget + SLACK)
-        out[live[hit]] = True
-        undecided &= ~hit
-    return out
+def _undominated(cd: np.ndarray, ce: np.ndarray) -> np.ndarray:
+    """Ascending indices of the maps whose `_conr_cost_tables` (cd, ce) are
+    not entrywise >= those of another map; of exact duplicates the first
+    stays.
+
+    Channel weights are nonnegative, so a dominated map meets both budgets
+    only where its dominator does, and dropping it changes no feasibility
+    test.  Maps are visited by ascending table sum (a dominator's sum is no
+    larger), each checked against the maps kept so far.
+    """
+    flat = np.concatenate([cd.reshape(cd.shape[0], -1), ce.reshape(ce.shape[0], -1)],
+                          axis=1)
+    kept: list[int] = []
+    for m in np.argsort(flat.sum(axis=1), kind="stable"):
+        if not kept or not (flat[kept] <= flat[m]).all(axis=1).any():
+            kept.append(int(m))
+    return np.sort(kept)
+
+
+class _SumLimit:
+    """`_grid_min` test: sum_x tables[x][block[x]] <= limit, for per-row
+    tables added in slice order, the last slice's last.
+
+    Rounding is monotone, so for each prefix row the last-slice rows that
+    pass form a prefix of their ascending order.  A block therefore costs a
+    bisection per prefix row, on the sums exactly as the broadcast would
+    form them, and one rank comparison per channel, in the narrowest
+    integer type that holds the row count.
+    """
+
+    def __init__(self, tables: list[np.ndarray], limit: float):
+        self.prefix = list(enumerate(tables[:-1]))
+        order = np.argsort(tables[-1], kind="stable")
+        self.ascending = tables[-1][order]
+        self.rank = np.empty(order.size, dtype=np.min_scalar_type(order.size))
+        self.rank[order] = np.arange(order.size)
+        self.limit = limit
+
+    def __call__(self, block: tuple[np.ndarray, ...]) -> np.ndarray:
+        head = _gather_sum(self.prefix, block) if self.prefix else np.zeros((1, 1))
+        # the first `lo` ascending rows pass, those from `hi` on fail
+        lo = np.zeros(head.shape, dtype=np.intp)
+        hi = np.full(head.shape, self.ascending.size, dtype=np.intp)
+        while (open_ := lo < hi).any():
+            mid = (lo + hi) // 2
+            ok = head + self.ascending[np.minimum(mid, self.ascending.size - 1)] <= self.limit
+            lo = np.where(open_ & ok, mid + 1, lo)
+            hi = np.where(open_ & ~ok, mid, hi)
+        return self.rank[block[-1]] < lo.astype(self.rank.dtype)
+
+
+def _side_test(m_u: np.ndarray, cd: np.ndarray, ce: np.ndarray, d_limit: float,
+               e_limit: float):
+    """`_grid_min` test: some decoder map of the `_conr_cost_tables` (cd, ce)
+    meets both budget limits; m_u is the (N, |U|) auxiliary marginal on the
+    grid rows.
+
+    Per slice x and map, the per-row tables are m_u @ cd[map, :, x] and
+    m_u @ ce[map, :, x].  The pointwise-over-maps lower bound (entrywise
+    minima over maps) prunes before the scan, and the scan visits the
+    undominated maps only.
+    """
+    keep = _undominated(cd, ce)
+    cd, ce = cd[keep], ce[keep]
+    nx = cd.shape[2]
+    # per x: (M, N), one row per map
+    td = [cd[:, :, x] @ m_u.T for x in range(nx)]
+    te = [ce[:, :, x] @ m_u.T for x in range(nx)]
+    bound_d = _SumLimit([m_u @ cd[:, :, x].min(axis=0) for x in range(nx)], d_limit)
+    bound_e = _SumLimit([m_u @ ce[:, :, x].min(axis=0) for x in range(nx)], e_limit)
+    maps = [(_SumLimit([t[m] for t in td], d_limit), _SumLimit([t[m] for t in te], e_limit))
+            for m in range(cd.shape[0])]
+
+    def test(block: tuple[np.ndarray, ...]) -> np.ndarray:
+        undecided = bound_d(block) & bound_e(block)
+        live = undecided.copy()
+        for meets_d, meets_e in maps:
+            if not undecided.any():
+                break
+            undecided &= ~(meets_d(block) & meets_e(block))
+        return live & ~undecided
+    return test
 
 
 def brute_force_conr(source: JointSource, metric1: DistortionMetric,
@@ -334,8 +435,8 @@ def brute_force_conr(source: JointSource, metric1: DistortionMetric,
 
     best = _grid_min(
         rows, source.nx, objective,
-        lambda idx: _side_feasible(m1_rows, idx, cd1, ce1, pair.d1, conr.de1),
-        lambda idx: _side_feasible(m2_rows, idx, cd2, ce2, pair.d2, conr.de2))
+        _side_test(m1_rows, cd1, ce1, budget_limit(pair.d1), budget_limit(conr.de1)),
+        _side_test(m2_rows, cd2, ce2, budget_limit(pair.d2), budget_limit(conr.de2)))
     if not math.isfinite(best):
         raise InfeasibleBudgetError("no auxiliary grid channel meets the ConR budgets")
     return ConRResult(rate=max(0.0, best), heuristic=heur1 or heur2,

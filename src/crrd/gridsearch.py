@@ -50,6 +50,7 @@ from .prob import DistortionMetric, FinitePmf, JointSource, check_budget
 
 __all__ = [
     "simplex_grid",
+    "budget_limit",
     "grid_oracle_point_cr",
     "grid_oracle_hb_cr",
     "feasible_hb_channel_batches",
@@ -90,6 +91,14 @@ def simplex_grid(units: int, cells: int) -> np.ndarray:
     rows = np.diff(edges, axis=1)
     rows -= 1
     return rows
+
+
+def budget_limit(budget: float | np.ndarray) -> float | np.ndarray:
+    """Largest expected distortion that still meets `budget` (a float or an
+    array of budgets): the budget plus an absolute and a relative `SLACK`,
+    so rounding in a sum of grid terms never rejects a channel on the
+    budget.  Every budget mask in the package compares against this."""
+    return budget + SLACK + SLACK * abs(budget)
 
 
 def step_units(step: float) -> int:
@@ -173,7 +182,7 @@ def _zero_rate_witness(slices: list[_Slice], grids: _Grids, n_full: int,
         total = np.zeros(rows.shape[0])
         for x in range(len(slices)):
             total += rows @ cost_full[j][x][common]
-        ok &= total <= budget + SLACK + SLACK * abs(budget)
+        ok &= total <= budget_limit(budget)
     hits = np.flatnonzero(ok)
     if hits.size == 0:
         return None
@@ -188,7 +197,7 @@ def _feasible_batches(slices: list[_Slice], budgets: np.ndarray,
     all (one or more) budgets, each such channel once.  Pieces stay within
     `batch` (or one slice's rows), so memory is bounded by the batch size.
     """
-    lim = budgets + SLACK + SLACK * np.abs(budgets)
+    lim = budget_limit(budgets)
     order = np.argsort(slices[-1].costs[0], kind="stable")
     scan = (order, slices[-1].costs[:, order])
     pend: list[tuple[np.ndarray, ...]] = []

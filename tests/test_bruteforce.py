@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from crrd import (
     grid_oracle_hb_cr,
     grid_oracle_point_cr,
 )
+from crrd.measures import GridTerms
 from conftest import random_source
 
 RCR_B_01 = 0.18585154224375156
@@ -158,9 +161,254 @@ class TestConR:
         # restricted map set can only shrink the feasible set
         assert res.rate >= full.rate - 1e-12
 
+    def test_counts_describe_enumerated_maps(self, erased_full, hamming2, conr_zero):
+        # dominated maps are dropped before the scan (64 -> 4 and 16 here),
+        # but the reported counts and flag describe the enumerated map set
+        undominated = [
+            _ref_dominated(_ref_map_tables(p_xy, hamming2.matrix, hamming2.matrix,
+                                           _ref_maps(2, 3, 2))).count(False)
+            for p_xy in (erased_full.xy1_marginal(), erased_full.xy2_marginal())]
+        assert undominated == [4, 16]
+        pair = DistortionPair(0.1, 0.05)
+        full = brute_force_conr(erased_full, hamming2, hamming2, pair, conr_zero,
+                                u_caps=(2, 2), step=0.1)
+        assert full.map_counts == (64, 64) and not full.heuristic
+        reduced = brute_force_conr(erased_full, hamming2, hamming2, pair, conr_zero,
+                                   u_caps=(2, 2), step=0.1, map_budget=10)
+        assert reduced.map_counts == (10, 10) and reduced.heuristic
+
     def test_infeasible(self, erased_full, hamming2, conr_zero):
         floor = DistortionMetric(np.array([[0.2, 1.0], [1.0, 0.2]]))
         with pytest.raises(InfeasibleBudgetError):
             brute_force_conr(erased_full, floor, hamming2,
                              DistortionPair(0.1, 0.5), conr_zero,
                              u_caps=(2, 2), step=0.1)
+
+
+# --------------------------------------------------------------------------
+# Reference solvers for the block-feasibility tests: channels enumerated with
+# itertools.product, decoder maps picked cell by cell (ConR: every map), and
+# information measures taken straight from the joint pmf per channel.
+
+_TOL = 1e-9
+
+
+def _ref_channels(nx: int, cells: int, step: float) -> np.ndarray:
+    """(C, nx, cells): every product of grid pmfs, one per source symbol."""
+    units = round(1 / step)
+    rows = np.array([r for r in itertools.product(range(units + 1), repeat=cells)
+                     if sum(r) == units], dtype=float) / units
+    picks = np.array(list(itertools.product(range(len(rows)), repeat=nx)))
+    return rows[picks]
+
+
+def _ref_entropy(p: np.ndarray, keep: set[int]) -> np.ndarray:
+    """Entropy in bits of the marginal on axes `keep` (axis 0 is the channel)."""
+    drop = tuple(i for i in range(1, p.ndim) if i not in keep)
+    m = p.sum(axis=drop).reshape(p.shape[0], -1)
+    return -(m * np.log2(np.where(m > 0, m, 1.0))).sum(axis=1)
+
+
+def _ref_cmi(p: np.ndarray, a: set[int], b: set[int], c: set[int]) -> np.ndarray:
+    return (_ref_entropy(p, a | c) + _ref_entropy(p, b | c) - _ref_entropy(p, a | b | c)
+            - (_ref_entropy(p, c) if c else 0.0))
+
+
+def _ref_cell_costs(p_xy: np.ndarray, q_u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(C, nu, ny, m): sum_x p(x,y) q(u|x) d(x, k) per (u, y) cell and
+    reconstruction k, +inf where a forbidden pair has positive weight."""
+    w = p_xy[None, :, :, None] * q_u[:, :, None, :]            # (C, x, y, u)
+    with np.errstate(invalid="ignore"):
+        terms = np.where(w[..., None] > 0,
+                         w[..., None] * d[None, :, None, None, :], 0.0)
+    return terms.sum(axis=1).transpose(0, 2, 1, 3)
+
+
+def _ref_best_map_distortion(p_xy, q_u, d) -> np.ndarray:
+    return _ref_cell_costs(p_xy, q_u, d).min(axis=3).sum(axis=(1, 2))
+
+
+def _ref_min_rate(rate: np.ndarray, feasible: np.ndarray) -> float:
+    return max(0.0, float(rate[feasible].min())) if feasible.any() else np.inf
+
+
+def _ref_hb(source, caps, step):
+    """HB-objective per channel and the (x, y, u) marginal channels per side."""
+    nu1, nu2 = caps
+    q = _ref_channels(source.nx, nu1 * nu2, step).reshape(-1, source.nx, nu1, nu2)
+    joint = (source.mass[None, :, :, :, None, None]
+             * q[:, :, None, None, :, :])                      # (C, x, y1, y2, u1, u2)
+    rate = _ref_cmi(joint, {1}, {4}, {2}) + _ref_cmi(joint, {1}, {5}, {3, 4})
+    return rate, q.sum(axis=3), q.sum(axis=2)
+
+
+def _ref_maps(nu: int, ny: int, m: int) -> list[np.ndarray]:
+    return [np.array(f).reshape(nu, ny)
+            for f in itertools.product(range(m), repeat=nu * ny)]
+
+
+def _ref_map_tables(p_xy, d, d_e, maps):
+    """Per map, the (u, x) tables of decoder distortion sum_y p(x,y) d(x, f(u,y))
+    and best encoder-side distortion p(x) min_v E[d_e(f(u,Y), v) | x]."""
+    px = p_xy.sum(axis=1)
+    out = []
+    for f in maps:
+        nu, ny = f.shape
+        cd = np.zeros((nu, len(px)))
+        ce = np.zeros((nu, len(px)))
+        for u in range(nu):
+            for x in range(len(px)):
+                live = p_xy[x] > 0
+                cd[u, x] = (np.inf if not np.isfinite(d[x, f[u, live]]).all()
+                            else float(p_xy[x, live] @ d[x, f[u, live]]))
+                ce[u, x] = min(float(p_xy[x, live] @ d_e[f[u, live], v])
+                               for v in range(d_e.shape[1]))
+        out.append((cd, ce))
+    return out
+
+
+def _ref_dominated(tables) -> list[bool]:
+    """Per map: some other map's tables are entrywise <= its own (of exact
+    duplicates, all but the first count as dominated)."""
+    def le(a, b):
+        return bool((a[0] <= b[0]).all() and (a[1] <= b[1]).all())
+    return [any(j != i and le(tj, ti) and (j < i or not le(ti, tj))
+                for j, tj in enumerate(tables)) for i, ti in enumerate(tables)]
+
+
+def _ref_conr_side(p_xy, q_u, d, d_e, budget, e_budget):
+    """(C,) bool: some decoder map meets the decoder budget together with the
+    best encoder map's budget."""
+    nu, ny = q_u.shape[2], p_xy.shape[1]
+    costs = _ref_cell_costs(p_xy, q_u, d)                     # (C, nu, ny, m)
+    px = p_xy.sum(axis=1)
+    feasible = np.zeros(q_u.shape[0], dtype=bool)
+    for f in _ref_maps(nu, ny, d.shape[1]):
+        ed = sum(costs[:, u, y, f[u, y]] for u in range(nu) for y in range(ny))
+        enc = np.array([[min(sum(p_xy[x, y] / px[x] * d_e[f[u, y], v] for y in range(ny))
+                             for v in range(d_e.shape[1])) for x in range(len(px))]
+                        for u in range(nu)])                  # (nu, nx)
+        ee = np.tensordot(q_u, px[:, None] * enc.T, axes=([1, 2], [0, 1]))
+        feasible |= (ed <= budget + _TOL) & (ee <= e_budget + _TOL)
+    return feasible
+
+
+def _erasure_metric(nx: int) -> DistortionMetric:
+    """Outputs 0..nx-1 (exact, other symbols forbidden) plus an erasure at cost 1."""
+    m = np.full((nx, nx + 1), np.inf)
+    m[np.arange(nx), np.arange(nx)] = 0.0
+    m[:, nx] = 1.0
+    return DistortionMetric(m)
+
+
+#: Per |X|: the seed of `_zero_cell_source` and a budget pair at which the
+#: ConR bound at de = 0 lies above the no-CR bound (|X| = 2, 3) at both steps.
+_BLOCK_CASES = {1: (0, DistortionPair(0.4, 0.3)),
+                2: (11, DistortionPair(0.4, 0.3)),
+                3: (8, DistortionPair(0.7, 0.6))}
+
+
+def _zero_cell_source(nx: int, seed: int) -> crrd.JointSource:
+    """Random p(x, y1, y2) with zero-mass (x, y1) and (x, y2) cells."""
+    mass = np.random.default_rng(seed).dirichlet(np.full(nx * 4, 0.5)).reshape(nx, 2, 2)
+    mass[0, 1, :] = 0.0
+    mass[-1, :, 0] = 0.0
+    return crrd.JointSource(mass / mass.sum())
+
+
+def _rate_or_inf(solve) -> float:
+    try:
+        res = solve()
+    except InfeasibleBudgetError:
+        return np.inf
+    return res.rate if isinstance(res, crrd.ConRResult) else res
+
+
+@pytest.mark.parametrize("step", [0.25, 0.5])
+@pytest.mark.parametrize("nx", [1, 2, 3])
+class TestBlockFeasibility:
+    """The block walk against per-channel references, |X| = 1, 2, 3."""
+
+    def test_wz(self, nx, step):
+        seed, pair = _BLOCK_CASES[nx]
+        src = _zero_cell_source(nx, seed)
+        metric = _erasure_metric(nx)
+        p_xy = src.xy1_marginal()
+        for d in (pair.d2 / 2, pair.d2, pair.d1):
+            q = _ref_channels(nx, 3, step)
+            joint = p_xy[None, :, :, None] * q[:, :, None, :]     # (C, x, y, u)
+            rate = _ref_cmi(joint, {1}, {3}, {2})
+            feasible = _ref_best_map_distortion(p_xy, q, metric.matrix) <= d + _TOL
+            got = _rate_or_inf(lambda: brute_force_wz(FinitePmf(p_xy), metric, d,
+                                                      u_cap=3, step=step))
+            assert got == pytest.approx(_ref_min_rate(rate, feasible), abs=_TOL)
+
+    def test_hb_nocr(self, nx, step):
+        seed, base = _BLOCK_CASES[nx]
+        src = _zero_cell_source(nx, seed)
+        metric = _erasure_metric(nx)
+        rate, q1, q2 = _ref_hb(src, (2, 2), step)
+        for pair in (base, DistortionPair(base.d2, base.d1)):
+            feasible = ((_ref_best_map_distortion(src.xy1_marginal(), q1, metric.matrix)
+                         <= pair.d1 + _TOL)
+                        & (_ref_best_map_distortion(src.xy2_marginal(), q2, metric.matrix)
+                           <= pair.d2 + _TOL))
+            got = _rate_or_inf(lambda: brute_force_hb_nocr(src, metric, metric, pair,
+                                                           u_caps=(2, 2), step=step))
+            assert got == pytest.approx(_ref_min_rate(rate, feasible), abs=_TOL)
+
+    def test_conr(self, nx, step):
+        seed, pair = _BLOCK_CASES[nx]
+        src = _zero_cell_source(nx, seed)
+        metric = _erasure_metric(nx)
+        metric_e = DistortionMetric.hamming(nx + 1)
+        rate, q1, q2 = _ref_hb(src, (2, 2), step)
+        sides = ((src.xy1_marginal(), q1), (src.xy2_marginal(), q2))
+        # the map sets hold dominated maps, which the solver drops
+        assert any(any(_ref_dominated(_ref_map_tables(p_xy, metric.matrix, metric_e.matrix,
+                                                      _ref_maps(2, p_xy.shape[1], nx + 1))))
+                   for p_xy, _ in sides)
+        for de in (0.0, 0.25):
+            feasible = np.ones(rate.size, dtype=bool)
+            for (p_xy, q_u), d in zip(sides, (pair.d1, pair.d2)):
+                feasible &= _ref_conr_side(p_xy, q_u, metric.matrix, metric_e.matrix,
+                                           d, de)
+            conr = ConRConstraint(de, de, metric_e, metric_e)
+            got = _rate_or_inf(lambda: brute_force_conr(src, metric, metric, pair,
+                                                        conr, u_caps=(2, 2), step=step))
+            assert got == pytest.approx(_ref_min_rate(rate, feasible), abs=_TOL)
+
+
+
+def _rate_and_channels(solve) -> tuple[float, list[tuple[int, ...]]]:
+    """The solver's rate and the sorted grid channels it evaluated."""
+    seen = []
+    evaluate = GridTerms.eval
+
+    def record(self, idx):
+        seen.append(np.stack(idx, axis=1))
+        return evaluate(self, idx)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GridTerms, "eval", record)
+        rate = _rate_or_inf(solve)
+    return rate, sorted(map(tuple, np.concatenate(seen).tolist())) if seen else []
+
+
+@pytest.mark.parametrize("nx", [1, 2, 3])
+def test_small_blocks_split_both_axes(nx, monkeypatch):
+    # 7 channels per block at step 0.5 (6 to 10 rows per slice): prefix
+    # chunks of one row and last-slice runs of up to seven, so every kind
+    # of block boundary is crossed; the same channels reach the objective
+    seed, pair = _BLOCK_CASES[nx]
+    src = _zero_cell_source(nx, seed)
+    metric = _erasure_metric(nx)
+    metric_e = DistortionMetric.hamming(nx + 1)
+    conr = ConRConstraint(0.0, 0.0, metric_e, metric_e)
+    solves = (
+        lambda: brute_force_wz(FinitePmf(src.xy1_marginal()), metric, pair.d2,
+                               u_cap=3, step=0.5),
+        lambda: brute_force_hb_nocr(src, metric, metric, pair, step=0.5),
+        lambda: brute_force_conr(src, metric, metric, pair, conr, step=0.5))
+    whole = [_rate_and_channels(solve) for solve in solves]
+    monkeypatch.setattr(crrd.bruteforce, "BATCH", 7)
+    assert [_rate_and_channels(solve) for solve in solves] == whole

@@ -249,7 +249,8 @@ def _assert_exit_documented(tmp_path_factory, command, spec, data):
 
 
 class TestExitCodeContract:
-    @given(command=st.sampled_from(["point-cr", "hb-cr", "wz", "conr", "degradedness"]),
+    @given(command=st.sampled_from(["point-cr", "hb-cr", "hb-nocr", "wz", "conr",
+                                    "degradedness"]),
            spec=_SPECS, data=st.data())
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_exit_code_always_documented(self, tmp_path_factory, command, spec, data):
