@@ -5,7 +5,15 @@ forbidden reconstruction pairs pinned at zero) intersected with the two
 linear distortion half-spaces.  Projection onto that intersection is
 computed with Dykstra's alternating-projection scheme, which converges to
 the exact Euclidean projection for closed convex sets; the stopping
-tolerance is 1e-10.
+tolerance is 1e-10.  Inputs that have not settled after the cycle budget
+fall back to plain alternating projection, which can end outside the
+budgets: only the simplex constraints are guaranteed on every output.
+
+All starts of one descent run in lockstep.  Each round stacks the pending
+line-search probe of every running start and projects the stack in one
+batched Dykstra call, in which every row stops on its own test; the
+objective and the accept/halve/stop decisions stay per start, so each
+start takes exactly the path it would take alone.
 
 The objective is any nonnegative combination of conditional mutual
 informations I(X; B | Y, D), given as `MITerm`s; values and analytic
@@ -37,10 +45,15 @@ __all__ = [
 ]
 
 _DYKSTRA_TOL = 1e-10
+_BUDGET_TOL = 1e-9
 
 
 class _Feasible:
-    """Support-flattened feasible set with simplex and budget projections."""
+    """Support-flattened feasible set with simplex and budget projections.
+
+    Points are rows of a (rows, dim) stack; every projection acts on all
+    rows at once and gives each row exactly the bits it would get alone.
+    """
 
     def __init__(self, source: JointSource, metric1: DistortionMetric,
                  metric2: DistortionMetric, pair: DistortionPair):
@@ -51,76 +64,114 @@ class _Feasible:
         allowed = (np.isfinite(metric1.matrix)[:, :, None]
                    & np.isfinite(metric2.matrix)[:, None, :])
         self.support = [np.flatnonzero(allowed[x].reshape(-1)) for x in range(nx)]
-        self.offsets = np.cumsum([0] + [s.size for s in self.support])
-        self.dim = int(self.offsets[-1])
+        #: position of every flattened coordinate in q.reshape(-1)
+        self.cells = np.concatenate(
+            [x * m1 * m2 + s for x, s in enumerate(self.support)])
+        self.dim = self.cells.size
+        offsets = np.cumsum([0] + [s.size for s in self.support])
+        self.slices = [np.arange(offsets[x], offsets[x + 1]) for x in range(nx)]
+        #: (k, n) columns of the k slices with n allowed cells, per size n
+        self.slice_groups = [
+            np.stack([c for c in self.slices if c.size == n])
+            for n in sorted({c.size for c in self.slices})]
         d1 = np.where(np.isfinite(metric1.matrix), metric1.matrix, 0.0)
         d2 = np.where(np.isfinite(metric2.matrix), metric2.matrix, 0.0)
         w1 = np.concatenate([
             px[x] * np.repeat(d1[x], m2)[self.support[x]] for x in range(nx)])
         w2 = np.concatenate([
             px[x] * np.tile(d2[x], m1)[self.support[x]] for x in range(nx)])
-        self.halfspaces = [(w1, pair.d1), (w2, pair.d2)]
+        self.halfspaces = [(w1, pair.d1, float(w1 @ w1)),
+                           (w2, pair.d2, float(w2 @ w2))]
 
     def flatten(self, q: np.ndarray) -> np.ndarray:
-        return np.concatenate([
-            q[x].reshape(-1)[self.support[x]] for x in range(self.shape[0])])
+        return q.reshape(-1)[self.cells]
 
     def unflatten(self, z: np.ndarray) -> np.ndarray:
-        q = np.zeros(self.shape)
-        for x in range(self.shape[0]):
-            flat = np.zeros(self.shape[1] * self.shape[2])
-            flat[self.support[x]] = z[self.offsets[x]:self.offsets[x + 1]]
-            q[x] = flat.reshape(self.shape[1], self.shape[2])
-        return q
+        q = np.zeros(self.shape).reshape(-1)
+        q[self.cells] = z
+        return q.reshape(self.shape)
 
     def project_simplices(self, z: np.ndarray) -> np.ndarray:
+        """Simplex projection of every slice of every row."""
+        if len(self.slice_groups) == 1:
+            # equal slices tile each row in order
+            n = self.slice_groups[0].shape[1]
+            return _project_simplex_rows(z.reshape(-1, n)).reshape(z.shape)
         out = np.empty_like(z)
-        for x in range(self.shape[0]):
-            seg = z[self.offsets[x]:self.offsets[x + 1]]
-            out[self.offsets[x]:self.offsets[x + 1]] = _project_simplex(seg)
+        for cols in self.slice_groups:
+            v = _project_simplex_rows(z[:, cols].reshape(-1, cols.shape[1]))
+            out[:, cols] = v.reshape(z.shape[0], *cols.shape)
         return out
 
-    def _violation(self, z: np.ndarray) -> float:
-        return max((float(w @ z) - b for (w, b) in self.halfspaces), default=0.0)
+    def _halfspace(self, i: int):
+        w, b, nrm2 = self.halfspaces[i]
+
+        def proj(z: np.ndarray) -> np.ndarray:
+            if nrm2 == 0:
+                return z
+            # np.vecdot reproduces the per-row `w @ z` bits; `z @ w` does not
+            viol = np.vecdot(z, w) - b
+            return z - np.where(viol > 0, viol / nrm2, 0.0)[:, None] * w
+
+        return proj
+
+    def _feasible(self, z: np.ndarray) -> np.ndarray:
+        (w1, b1, _), (w2, b2, _) = self.halfspaces
+        return np.maximum(np.vecdot(z, w1) - b1, np.vecdot(z, w2) - b2) < _BUDGET_TOL
 
     def project(self, z: np.ndarray, max_cycles: int = 2000) -> np.ndarray:
-        """Dykstra projection onto simplices intersect budget half-spaces.
+        """Dykstra projection of every row of a (rows, dim) stack onto the
+        simplices and the budgets.
 
-        Stops only when the iterate both settles (1e-10 cycle movement)
-        and satisfies the budgets; a plain alternating-projection sweep
-        acts as fallback for far-away inputs where Dykstra's correction
-        increments make progress slow, so the output is always feasible.
-        The simplex projector runs last, giving exact slice sums and no
-        negative entries.
+        A row stops once it both settles (1e-10 cycle movement) and meets
+        the budgets within 1e-9; stopped rows leave the working arrays.
+        Rows still running after `max_cycles` fall back to plain
+        alternating projection until they meet the budgets, for at most
+        `max_cycles` more sweeps.  Every output ends with the simplex
+        projector, so slice sums are exact and no entry is negative, but
+        a far-away row can leave the fallback still over a budget.
         """
-        sets = [_halfspace_projector(w, b) for (w, b) in self.halfspaces]
-        sets.append(self.project_simplices)
-        incr = [np.zeros_like(z) for _ in sets]
+        sets = [self._halfspace(0), self._halfspace(1), self.project_simplices]
+        out = np.empty_like(z)
+        live = np.arange(z.shape[0])
         x = z.copy()
+        incr = [np.zeros_like(z) for _ in sets]
         for _ in range(max_cycles):
-            x_prev = x.copy()
+            x_prev = x
             for i, proj in enumerate(sets):
-                y = proj(x + incr[i])
-                incr[i] = x + incr[i] - y
-                x = y
-            if (np.max(np.abs(x - x_prev)) < _DYKSTRA_TOL
-                    and self._violation(x) < 1e-9):
-                return x
+                u = x + incr[i]
+                x = proj(u)
+                incr[i] = u - x
+            done = np.max(np.abs(x - x_prev), axis=1) < _DYKSTRA_TOL
+            if not done.any():
+                continue
+            done &= self._feasible(x)
+            out[live[done]] = x[done]
+            live, x = live[~done], x[~done]
+            incr = [d[~done] for d in incr]
+            if not live.size:
+                return out
+        rest = live
         for _ in range(max_cycles):
             for proj in sets:
                 x = proj(x)
-            if self._violation(x) < 1e-9:
+            done = self._feasible(x)
+            out[live[done]] = x[done]
+            live, x = live[~done], x[~done]
+            if not live.size:
                 break
-        return self.project_simplices(x)
+        out[live] = x
+        out[rest] = self.project_simplices(out[rest])
+        return out
 
     def feasible_start(self) -> np.ndarray:
         """LP pre-solve: a feasible point, or InfeasibleBudgetError."""
         nx = self.shape[0]
         a_eq = np.zeros((nx, self.dim))
-        for x in range(nx):
-            a_eq[x, self.offsets[x]:self.offsets[x + 1]] = 1.0
-        a_ub = np.stack([w for (w, _) in self.halfspaces])
-        b_ub = np.array([b for (_, b) in self.halfspaces])
+        for x, cols in enumerate(self.slices):
+            a_eq[x, cols] = 1.0
+        a_ub = np.stack([w for (w, _, _) in self.halfspaces])
+        b_ub = np.array([b for (_, b, _) in self.halfspaces])
         res = linprog(np.zeros(self.dim), A_ub=a_ub, b_ub=b_ub,
                       A_eq=a_eq, b_eq=np.ones(nx),
                       bounds=[(0.0, 1.0)] * self.dim, method="highs")
@@ -130,25 +181,15 @@ class _Feasible:
         return np.asarray(res.x)
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of v onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _halfspace_projector(w: np.ndarray, b: float):
-    nrm2 = float(w @ w)
-
-    def proj(z: np.ndarray) -> np.ndarray:
-        viol = float(w @ z) - b
-        if viol <= 0 or nrm2 == 0:
-            return z
-        return z - (viol / nrm2) * w
-
-    return proj
+def _project_simplex_rows(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of every row of v onto the probability simplex
+    (sort-based; Duchi et al., ICML 2008)."""
+    u = np.sort(v, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    above = u * np.arange(1, v.shape[1] + 1) > css
+    rho = v.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)
+    theta = css[np.arange(v.shape[0]), rho] / (rho + 1.0)
+    return np.maximum(v - theta[:, None], 0.0)
 
 
 @dataclass(frozen=True)
@@ -183,7 +224,11 @@ def descent_weighted(source: JointSource, metric1: DistortionMetric,
 
     Deterministic for a fixed seed.  Starts from `init` (when given), the
     LP feasible point, and `restarts` random projected channels; returns
-    the best local minimum with its witness.
+    the best local minimum with its witness, ties going to the earliest
+    start.  The starts run in lockstep: each round projects the pending
+    line-search probe of every running start in one `project` call, while
+    accepting, halving and stopping stay per start, so every start takes
+    the path it would take alone.
     """
     if restarts < 0 or seed < 0:
         raise InvalidSpecError("restarts and seed must be >= 0")
@@ -191,47 +236,61 @@ def descent_weighted(source: JointSource, metric1: DistortionMetric,
     feas = _Feasible(source, metric1, metric2, pair)
     rng = np.random.default_rng(seed)
 
-    starts: list[np.ndarray] = []
+    raw: list[np.ndarray] = []
     if init is not None:
-        z = feas.flatten(init.cond)
-        starts.append(feas.project(z))
-    starts.append(feas.project(feas.feasible_start()))
+        raw.append(feas.flatten(init.cond))
+    raw.append(feas.feasible_start())
     for _ in range(restarts):
-        z = np.concatenate([
-            rng.dirichlet(np.ones(s.size)) for s in feas.support])
-        starts.append(feas.project(z))
+        raw.append(np.concatenate([
+            rng.dirichlet(np.ones(s.size)) for s in feas.support]))
+    starts = feas.project(np.stack(raw))
 
-    best_val = math.inf
-    best_z = starts[0]
-    best_start = 0
-    for si, z0 in enumerate(starts):
-        z = z0
-        val, grad = _objective(source, feas.unflatten(z), terms, weights)
-        step = 0.5
-        for _ in range(max_iter):
-            gz = feas.flatten(grad)
-            # normalized direction keeps line-search probes near the
-            # feasible set despite the clipped logs at zero-mass cells
-            gz = gz / max(1.0, float(np.max(np.abs(gz))))
-            improved = False
-            t = step
-            for _ in range(25):
-                z_new = feas.project(z - t * gz)
-                v_new, g_new = _objective(source, feas.unflatten(z_new),
-                                          terms, weights)
-                if v_new < val - 1e-15:
-                    improved = True
-                    break
-                t *= 0.5
-            if not improved:
-                break
-            rel = (val - v_new) / max(abs(val), 1e-12)
-            z, val, grad = z_new, v_new, g_new
-            step = min(max(t * 2.0, 1e-6), 1.0)
-            if rel < tol:
-                break
-        if val < best_val - 1e-15:
-            best_val, best_z, best_start = val, z, si
+    def evaluate(z: np.ndarray) -> tuple[float, np.ndarray]:
+        v, g = _objective(source, feas.unflatten(z), terms, weights)
+        return v, feas.flatten(g)
+
+    def direction(g: np.ndarray) -> np.ndarray:
+        # normalized direction keeps line-search probes near the
+        # feasible set despite the clipped logs at zero-mass cells
+        return g / max(1.0, float(np.max(np.abs(g))))
+
+    z = starts.copy()
+    val: list[float] = []
+    gz = np.empty_like(z)
+    for i in range(len(z)):
+        v, g = evaluate(z[i])
+        val.append(v)
+        gz[i] = direction(g)
+    t = np.full(len(z), 0.5)    # next probe's step length, per start
+    halvings = [0] * len(z)     # failed probes at the current iterate
+    accepted = [0] * len(z)
+    live = list(range(len(z))) if max_iter > 0 else []
+    while live:
+        probes = feas.project(z[live] - t[live, None] * gz[live])
+        running = []
+        for i, z_new in zip(live, probes):
+            v_new, g_new = evaluate(z_new)
+            if v_new < val[i] - 1e-15:
+                rel = (val[i] - v_new) / max(abs(val[i]), 1e-12)
+                z[i], val[i] = z_new, v_new
+                accepted[i] += 1
+                if rel < tol or accepted[i] == max_iter:
+                    continue
+                gz[i] = direction(g_new)
+                t[i] = min(max(t[i] * 2.0, 1e-6), 1.0)
+                halvings[i] = 0
+            else:
+                t[i] *= 0.5
+                halvings[i] += 1
+                if halvings[i] == 25:
+                    continue
+            running.append(i)
+        live = running
+
+    best_val, best_z, best_start = math.inf, starts[0], 0
+    for i, v in enumerate(val):
+        if v < best_val - 1e-15:
+            best_val, best_z, best_start = v, z[i], i
     witness = TestChannel(feas.unflatten(best_z))
     return DescentResult(rate=max(0.0, best_val), witness=witness,
                          restarts=restarts, best_start=best_start)
@@ -242,7 +301,7 @@ def feasible_channel(source: JointSource, metric1: DistortionMetric,
                      ) -> TestChannel:
     """Any channel meeting the budgets, via the LP pre-solve."""
     feas = _Feasible(source, metric1, metric2, pair)
-    return TestChannel(feas.unflatten(feas.project(feas.feasible_start())))
+    return TestChannel(feas.unflatten(feas.project(feas.feasible_start()[None])[0]))
 
 
 def descent_hb_cr(source: JointSource, metric1: DistortionMetric,

@@ -75,6 +75,26 @@ def dominance_filter(points: Iterable[RatePoint]) -> tuple[RatePoint, ...]:
     return tuple(out)
 
 
+def _lower_boundary(batches: Iterable[tuple[np.ndarray, np.ndarray, str]],
+                    ) -> tuple[RatePoint, ...]:
+    """`dominance_filter` over every point of (r1, r2, provenance) batches.
+
+    A stable lexsort by (r1, r2) puts the points in the filter's order, and
+    every point the filter keeps has r2 strictly below every point before
+    it.  Only those strict prefix minima become `RatePoint`s, so the result
+    is exact without building a point per swept channel.
+    """
+    batches = list(batches)
+    r1 = np.concatenate([np.empty(0)] + [a for a, _, _ in batches])
+    r2 = np.concatenate([np.empty(0)] + [b for _, b, _ in batches])
+    batch = np.repeat(np.arange(len(batches)), [a.size for a, _, _ in batches])
+    order = np.lexsort((r2, r1))
+    s2 = r2[order]
+    before = np.minimum.accumulate(np.concatenate(([math.inf], s2)))[:-1]
+    return dominance_filter([RatePoint(float(r1[i]), float(r2[i]), batches[batch[i]][2])
+                             for i in order[s2 < before]])
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Knobs for the region samplers.
@@ -148,12 +168,10 @@ def coop_region_xy1y2(source: JointSource, metric1: DistortionMetric,
     """
     if not check_markov_chain(source, ("x", "y1", "y2")):
         raise InvalidSpecError("cooperative region in this direction needs X - Y1 - Y2")
-    pts: list[RatePoint] = []
-    for ra, rb, prov in _channel_sweep(source, metric1, metric2, pair, config,
-                                       (_COOP12_A, _COOP12_B)):
-        for i in range(ra.size):
-            pts.append(RatePoint(float(ra[i]), float(max(0.0, rb[i] - ra[i])), prov))
-    return RateRegion(points=dominance_filter(pts))
+    sweep = _channel_sweep(source, metric1, metric2, pair, config,
+                           (_COOP12_A, _COOP12_B))
+    return RateRegion(points=_lower_boundary(
+        (ra, np.where(rb - ra > 0.0, rb - ra, 0.0), prov) for ra, rb, prov in sweep))
 
 
 def coop_region_xy2y1(source: JointSource, metric1: DistortionMetric,
@@ -191,12 +209,8 @@ def cascade_region_xy1y2(source: JointSource, metric1: DistortionMetric,
     """
     if not check_markov_chain(source, ("x", "y1", "y2")):
         raise InvalidSpecError("this cascade direction needs X - Y1 - Y2")
-    pts: list[RatePoint] = []
-    for r1, r2, prov in _channel_sweep(source, metric1, metric2, pair, config,
-                                       (_CASC12_A, _CASC12_B)):
-        for i in range(r1.size):
-            pts.append(RatePoint(float(r1[i]), float(r2[i]), prov))
-    return RateRegion(points=dominance_filter(pts))
+    return RateRegion(points=_lower_boundary(_channel_sweep(
+        source, metric1, metric2, pair, config, (_CASC12_A, _CASC12_B))))
 
 
 @dataclass(frozen=True)
@@ -239,12 +253,9 @@ def cascade_bounds_xy2y1(source: JointSource, metric1: DistortionMetric,
                                guard=HB_GUARD_DEFAULT)
     outer = RateRegion(points=(RatePoint(r1c, r2c, "outer-corner"),))
 
-    pts: list[RatePoint] = []
-    for g1, g2, prov in _channel_sweep(source, metric1, metric2, pair, config,
-                                       (_CASC21_INNER_A, _CASC21_INNER_B)):
-        for i in range(g1.size):
-            pts.append(RatePoint(float(g1[i]), float(g2[i]), prov))
-    inner = RateRegion(points=dominance_filter(pts))
+    inner = RateRegion(points=_lower_boundary(_channel_sweep(
+        source, metric1, metric2, pair, config,
+        (_CASC21_INNER_A, _CASC21_INNER_B))))
 
     near = [p.r2 for p in inner.points if p.r1 <= r1c + CORNER_SLACK]
     gap = math.inf if not near else max(0.0, min(near) - r2c)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from crrd import (
     feasible_channel,
     grid_oracle_hb_cr,
 )
-from crrd.measures import MITerm, term_value_grad
+from crrd.descent import _Feasible, _objective, descent_weighted
+from crrd.measures import HB_CR_TERMS, MITerm, term_value_grad
 from conftest import ALL_TERMS, random_channel, random_source
 
 BSPEC = BinaryErasureSpec(1.0, 0.35)
@@ -119,3 +122,179 @@ class TestDescent:
         closed = crrd.rhb_cr_binary(pair, BSPEC, crrd.BinaryMetric.ERASURE).rate
         assert res.rate >= closed - 1e-9
         assert res.rate <= closed + 5e-3
+
+
+def _reference_project(feas, z, max_cycles=2000):
+    """One vector at a time: the Dykstra loop the batched projection
+    replaced, kept as the bit-for-bit reference."""
+    def simplex(v):
+        u = np.sort(v)[::-1]
+        css = np.cumsum(u) - 1.0
+        rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
+        return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+
+    def simplices(x):
+        return np.concatenate([simplex(x[c]) for c in feas.slices])
+
+    def halfspace(w, b):
+        nrm2 = float(w @ w)
+
+        def proj(x):
+            viol = float(w @ x) - b
+            return x if viol <= 0 or nrm2 == 0 else x - (viol / nrm2) * w
+
+        return proj
+
+    def violation(x):
+        return max(float(w @ x) - b for w, b, _ in feas.halfspaces)
+
+    sets = [halfspace(w, b) for w, b, _ in feas.halfspaces] + [simplices]
+    incr = [np.zeros_like(z) for _ in sets]
+    x = z.copy()
+    for _ in range(max_cycles):
+        x_prev = x.copy()
+        for i, proj in enumerate(sets):
+            y = proj(x + incr[i])
+            incr[i] = x + incr[i] - y
+            x = y
+        if np.max(np.abs(x - x_prev)) < 1e-10 and violation(x) < 1e-9:
+            return x
+    for _ in range(max_cycles):
+        for proj in sets:
+            x = proj(x)
+        if violation(x) < 1e-9:
+            break
+    return simplices(x)
+
+
+def _reference_descent(source, m1, m2, pair, terms, weights, restarts, seed,
+                       max_iter, tol=1e-6):
+    """One start at a time, each run to its end before the next begins."""
+    feas = _Feasible(source, m1, m2, pair)
+    weights = np.asarray(weights, dtype=float)
+    rng = np.random.default_rng(seed)
+    starts = [_reference_project(feas, feas.feasible_start())]
+    for _ in range(restarts):
+        starts.append(_reference_project(feas, np.concatenate([
+            rng.dirichlet(np.ones(s.size)) for s in feas.support])))
+    best_val, best_z, best_start = math.inf, starts[0], 0
+    for si, z in enumerate(starts):
+        val, grad = _objective(source, feas.unflatten(z), terms, weights)
+        step = 0.5
+        for _ in range(max_iter):
+            gz = feas.flatten(grad)
+            gz = gz / max(1.0, float(np.max(np.abs(gz))))
+            t = step
+            for _ in range(25):
+                z_new = _reference_project(feas, z - t * gz)
+                v_new, g_new = _objective(source, feas.unflatten(z_new), terms, weights)
+                if v_new < val - 1e-15:
+                    break
+                t *= 0.5
+            else:
+                break
+            rel = (val - v_new) / max(abs(val), 1e-12)
+            z, val, grad = z_new, v_new, g_new
+            step = min(max(t * 2.0, 1e-6), 1.0)
+            if rel < tol:
+                break
+        if val < best_val - 1e-15:
+            best_val, best_z, best_start = val, z, si
+    return max(0.0, best_val), feas.unflatten(best_z), best_start
+
+
+class TestBatchedProjection:
+    """`_Feasible.project` on a stack gives every row the bits it gets alone."""
+
+    @pytest.fixture
+    def feas(self):
+        rng = np.random.default_rng(31)
+        src = random_source(rng, 3, 2, 3)
+        inf = np.inf
+        # slices of 6, 4 and 6 allowed (xh1, xh2) cells: two size groups,
+        # one of them holding two slices
+        m1 = DistortionMetric(np.array([[0.0, 1.0, 1.0], [inf, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+        m2 = DistortionMetric(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 1.0]]))
+        return _Feasible(src, m1, m2, DistortionPair(0.3, 0.25))
+
+    @staticmethod
+    def _cycles(feas, row, max_cycles):
+        """Simplex steps taken projecting `row` alone."""
+        calls = []
+        simplices = feas.project_simplices
+
+        def counting(z):
+            calls.append(z.shape[0])
+            return simplices(z)
+
+        feas.project_simplices = counting
+        try:
+            feas.project(row[None], max_cycles=max_cycles)
+        finally:
+            del feas.project_simplices
+        return len(calls)
+
+    def _rows(self, feas):
+        rng = np.random.default_rng(32)
+        inside = feas.project(feas.feasible_start()[None])
+        return np.concatenate([
+            inside,                                           # stops at once
+            inside + 1e-3 * rng.normal(size=(2, feas.dim)),   # a few cycles
+            rng.dirichlet(np.ones(feas.dim), size=3),         # moderate
+            5.0 * rng.normal(size=(3, feas.dim)),             # far away
+        ])
+
+    def test_slice_sizes_differ(self, feas):
+        assert [g.shape for g in feas.slice_groups] == [(1, 4), (2, 6)]
+
+    @pytest.mark.parametrize("max_cycles", [2000, 150, 4, 1])
+    def test_stack_equals_rows(self, feas, max_cycles):
+        rows = self._rows(feas)
+        stacked = feas.project(rows, max_cycles=max_cycles)
+        for i, row in enumerate(rows):
+            alone = feas.project(row[None], max_cycles=max_cycles)[0]
+            assert np.array_equal(stacked[i], alone), i
+            assert np.array_equal(alone, _reference_project(feas, row, max_cycles)), i
+
+    def test_rows_stop_at_different_cycles(self, feas):
+        cycles = {self._cycles(feas, row, 2000) for row in self._rows(feas)}
+        assert len(cycles) >= 3
+
+    def test_fallback_rows_stop_at_different_sweeps(self, feas):
+        # past max_cycles Dykstra steps a row runs fallback sweeps, each
+        # ending with a simplex step, then one final simplex step
+        rows = self._rows(feas)
+        steps = [self._cycles(feas, row, 150) for row in rows]
+        fell_back = [n for n in steps if n > 150]
+        assert len(fell_back) < len(steps)
+        assert len(set(fell_back)) >= 3
+        out = feas.project(rows, max_cycles=150)
+        sums = np.stack([out[:, c].sum(axis=1) for c in feas.slices], axis=1)
+        assert np.allclose(sums, 1.0, atol=1e-12) and (out >= 0).all()
+
+
+class TestLockstepDescent:
+    """All starts in lockstep take the bits of starts run one by one."""
+
+    @pytest.mark.parametrize("case", ["erased", "forbidden3"])
+    @pytest.mark.parametrize("max_iter, tol", [(40, 1e-6), (3, 1e-6), (60, 0.0)],
+                             ids=["tol", "max_iter", "no_tol"])
+    def test_matches_one_start_at_a_time(self, case, max_iter, tol, erased_full,
+                                         hamming2):
+        if case == "erased":
+            src, m1, m2 = erased_full, hamming2, hamming2
+            pair, terms, weights = DistortionPair(0.1, 0.05), HB_CR_TERMS, (1.0, 1.0)
+        else:
+            src = random_source(np.random.default_rng(7), 3, 2, 3)
+            m1 = DistortionMetric.erasure(3)
+            m2 = DistortionMetric(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, np.inf]]))
+            pair = DistortionPair(0.6, 0.4)
+            terms, weights = (MITerm((1, 2), 1), MITerm((2,), 2, (1,))), (0.3, 0.7)
+        res = descent_weighted(src, m1, m2, pair, terms, weights, restarts=3,
+                               tol=tol, seed=5, max_iter=max_iter)
+        rate, cond, best_start = _reference_descent(
+            src, m1, m2, pair, terms, weights, restarts=3, seed=5,
+            max_iter=max_iter, tol=tol)
+        assert repr(res.rate) == repr(rate)
+        assert np.array_equal(res.witness.cond, cond)
+        assert res.best_start == best_start

@@ -47,6 +47,44 @@ class TestDominanceFilter:
         assert {(p.r1, p.r2) for p in out} == {(1.0, 0.5), (0.0, 1.0), (0.9, 0.9)}
 
 
+class TestLowerBoundary:
+    """The array boundary equals dominance_filter over every point."""
+
+    @staticmethod
+    def _cloud(rng):
+        # few distinct r1 values, so equal r1 is common; r2 values sit on
+        # ladders with steps of 0.5e-15, 1e-15 and 2e-15 around the
+        # filter's 1e-15 tolerance; the last batch repeats the first
+        r1_vals = rng.uniform(0.0, 1.0, size=5)
+        base = rng.uniform(0.1, 1.0, size=2)
+        r2_vals = np.concatenate([
+            base + 1e-15 * k for k in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)] + [[0.0]])
+        batches = []
+        for k in range(int(rng.integers(1, 5))):
+            n = int(rng.integers(0, 30))
+            r1 = rng.choice(r1_vals, size=n)
+            r2 = rng.choice(r2_vals, size=n)
+            batches.append((r1, r2, f"batch{k}"))
+        batches.append((batches[0][0].copy(), batches[0][1].copy(), "copy"))
+        return batches
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_dominance_filter(self, seed):
+        batches = self._cloud(np.random.default_rng(seed))
+        points = [RatePoint(float(a), float(b), prov)
+                  for r1, r2, prov in batches for a, b in zip(r1, r2)]
+        assert regions._lower_boundary(batches) == dominance_filter(points)
+
+    def test_no_points(self):
+        assert regions._lower_boundary([]) == ()
+        assert regions._lower_boundary([(np.empty(0), np.empty(0), "grid")]) == ()
+
+    def test_first_of_duplicates_keeps_provenance(self):
+        r = np.array([0.5])
+        got = regions._lower_boundary([(r, r, "a"), (r, r.copy(), "b")])
+        assert got == (RatePoint(0.5, 0.5, "a"),)
+
+
 def _direct_coop_points(src, m, pair, step):
     """Independent slow enumeration of the cooperative bounds."""
     from crrd.gridsearch import simplex_grid
@@ -263,19 +301,24 @@ class TestDeclaredBounds:
         src = crrd.JointSource(mass)
         ch = random_channel(np.random.default_rng(41))
         seen = []
+        lower_boundary = regions._lower_boundary
 
-        def spy(points):
-            seen.extend(points)
-            return dominance_filter(points)
+        def spy(batches):
+            batches = list(batches)
+            seen.extend(batches)
+            return lower_boundary(batches)
 
-        monkeypatch.setattr(regions, "dominance_filter", spy)
+        # the boundary's input, not dominance_filter's: a dominated seed
+        # point never reaches the filter
+        monkeypatch.setattr(regions, "_lower_boundary", spy)
         cfg = SamplerConfig(method="grid", step=0.5, seed_channels=(ch,))
         sampler(src, hamming2, hamming2, DistortionPair(0.3, 0.3), cfg)
-        (point,) = [p for p in seen if p.provenance == "seed"]
+        ((r1, r2, _),) = [b for b in seen if b[2] == "seed"]
         joint = compose_joint(src, ch)
         want_a = _reference_bits(joint, terms_a)
         want_b = _reference_bits(joint, terms_b)
         if coop:
             want_b = max(0.0, want_b - want_a)
-        assert point.r1 == pytest.approx(want_a, abs=1e-12)
-        assert point.r2 == pytest.approx(want_b, abs=1e-12)
+        assert r1.shape == r2.shape == (1,)
+        assert r1[0] == pytest.approx(want_a, abs=1e-12)
+        assert r2[0] == pytest.approx(want_b, abs=1e-12)
