@@ -68,12 +68,11 @@ class _Feasible:
         self.cells = np.concatenate(
             [x * m1 * m2 + s for x, s in enumerate(self.support)])
         self.dim = self.cells.size
-        offsets = np.cumsum([0] + [s.size for s in self.support])
-        self.slices = [np.arange(offsets[x], offsets[x + 1]) for x in range(nx)]
+        sizes = np.array([s.size for s in self.support])
+        slices = np.split(np.arange(self.dim), np.cumsum(sizes)[:-1])
         #: (k, n) columns of the k slices with n allowed cells, per size n
-        self.slice_groups = [
-            np.stack([c for c in self.slices if c.size == n])
-            for n in sorted({c.size for c in self.slices})]
+        self.slice_groups = [np.stack([slices[x] for x in np.flatnonzero(sizes == n)])
+                             for n in np.unique(sizes)]
         d1 = np.where(np.isfinite(metric1.matrix), metric1.matrix, 0.0)
         d2 = np.where(np.isfinite(metric2.matrix), metric2.matrix, 0.0)
         w1 = np.concatenate([
@@ -93,10 +92,6 @@ class _Feasible:
 
     def project_simplices(self, z: np.ndarray) -> np.ndarray:
         """Simplex projection of every slice of every row."""
-        if len(self.slice_groups) == 1:
-            # equal slices tile each row in order
-            n = self.slice_groups[0].shape[1]
-            return _project_simplex_rows(z.reshape(-1, n)).reshape(z.shape)
         out = np.empty_like(z)
         for cols in self.slice_groups:
             v = _project_simplex_rows(z[:, cols].reshape(-1, cols.shape[1]))
@@ -167,9 +162,7 @@ class _Feasible:
     def feasible_start(self) -> np.ndarray:
         """LP pre-solve: a feasible point, or InfeasibleBudgetError."""
         nx = self.shape[0]
-        a_eq = np.zeros((nx, self.dim))
-        for x, cols in enumerate(self.slices):
-            a_eq[x, cols] = 1.0
+        a_eq = np.repeat(np.eye(nx), [s.size for s in self.support], axis=1)
         a_ub = np.stack([w for (w, _, _) in self.halfspaces])
         b_ub = np.array([b for (_, b, _) in self.halfspaces])
         res = linprog(np.zeros(self.dim), A_ub=a_ub, b_ub=b_ub,

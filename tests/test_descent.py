@@ -124,6 +124,11 @@ class TestDescent:
         assert res.rate <= closed + 5e-3
 
 
+def _slice_cols(feas):
+    """Flattened columns of each source symbol's slice, in symbol order."""
+    return np.split(np.arange(feas.dim), np.cumsum([s.size for s in feas.support])[:-1])
+
+
 def _reference_project(feas, z, max_cycles=2000):
     """One vector at a time: the Dykstra loop the batched projection
     replaced, kept as the bit-for-bit reference."""
@@ -134,7 +139,7 @@ def _reference_project(feas, z, max_cycles=2000):
         return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
 
     def simplices(x):
-        return np.concatenate([simplex(x[c]) for c in feas.slices])
+        return np.concatenate([simplex(x[c]) for c in _slice_cols(feas)])
 
     def halfspace(w, b):
         nrm2 = float(w @ w)
@@ -269,7 +274,7 @@ class TestBatchedProjection:
         assert len(fell_back) < len(steps)
         assert len(set(fell_back)) >= 3
         out = feas.project(rows, max_cycles=150)
-        sums = np.stack([out[:, c].sum(axis=1) for c in feas.slices], axis=1)
+        sums = np.stack([out[:, c].sum(axis=1) for c in _slice_cols(feas)], axis=1)
         assert np.allclose(sums, 1.0, atol=1e-12) and (out >= 0).all()
 
 
