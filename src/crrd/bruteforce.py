@@ -21,21 +21,33 @@ the result is flagged heuristic.
 Budget feasibility, not the objective, is most of the work, so it never
 touches channels one by one.  `_grid_min` walks the product grid in
 blocks of at most `BATCH` channels: a chunk of prefix rows (the first
-|X| - 1 slices) against the rows of the last slice.  Each budget test
-broadcasts per-row tables of the slices into a (prefix, last) mask, and
-only the channels that pass every test are gathered for the objective,
-so memory stays bounded by `BATCH`.  Under constrained reconstruction a
-decoder map whose budget tables are entrywise no smaller than another
-map's is dropped before the scan (it is feasible only where its
-dominator is); `ConRResult.map_counts` still counts the enumerated maps.
+|X| - 1 slices) against the rows of the last slice.  The first budget
+test broadcasts per-row tables of the slices into a (prefix, last) mask;
+every later test, and the objective, runs on the survivors of the tests
+before it only, so memory stays bounded by `BATCH`.  Under constrained
+reconstruction a decoder map whose budget tables are entrywise no smaller
+than another map's is dropped before the scan (it is feasible only where
+its dominator is); `ConRResult.map_counts` still counts the enumerated
+maps.
+
+The objectives and the map-optimized budgets do not change when the
+labels of U1 or U2 (or U) are permuted, so the walk visits at least one
+labeling of each relabeling orbit, not all of them: only channels whose
+slice-0 row has nonincreasing U1 and U2 marginals (orbital symmetry
+breaking; Margot, "Symmetry in integer linear programming", 2010).  That
+keeps 506 of the 1,771 slice-0 rows at caps (2, 2) and step 0.05.  The
+minimum is the same real number; its last bit can differ from a full
+walk's, because the terms of a relabeled channel are summed in another
+order.
 
 The objectives are `measures.GridTerms` over the term lists in
 `crrd.measures` (`HB_CR_TERMS`, or `POINT_TERMS` for Wyner-Ziv), with the
 auxiliary in place of the reconstruction.
 
 Because every grid channel of the matching common-reconstruction oracle
-reappears here (take u = xhat and identity maps), these values never
-exceed the CR oracle at the same step, which the test suite checks.
+reappears here up to a relabeling (take u = xhat and identity maps),
+these values never exceed the CR oracle at the same step, which the test
+suite checks.
 """
 
 from __future__ import annotations
@@ -62,56 +74,84 @@ __all__ = [
 ]
 
 
-def _u_grid(nx: int, n_cells: int, step: float, guard: int) -> np.ndarray:
-    """Grid rows of one auxiliary slice p(u | x), shared by every x."""
+def _u_grid(nx: int, u_caps: tuple[int, int], step: float,
+            guard: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid rows of one auxiliary slice p(u1, u2 | x), shared by every x,
+    and the ascending indices of its canonical rows: those whose U1 and U2
+    marginals are both nonincreasing.
+
+    Relabeling U1 or U2 maps grid rows to grid rows and permutes the
+    marginals, so every row has a relabeling among the canonical rows;
+    rows with tied marginals keep all their canonical relabelings.  The
+    test runs on the integer units, where the marginals are exact.
+    """
     k = step_units(step)
+    n_cells = math.prod(u_caps)
     count = math.comb(k + n_cells - 1, n_cells - 1)
     if count ** nx > guard:
         raise GuardExceededError(
             f"auxiliary grid has {count ** nx} channels, guard is {guard}",
             count ** nx, guard)
-    return simplex_grid(k, n_cells).astype(np.float64) / k
+    units = simplex_grid(k, n_cells)
+    table = units.reshape(-1, *u_caps)
+    canonical = np.ones(units.shape[0], dtype=bool)
+    for marginal in (table.sum(axis=2), table.sum(axis=1)):
+        canonical &= (np.diff(marginal, axis=1) <= 0).all(axis=1)
+    return units.astype(np.float64) / k, np.flatnonzero(canonical)
 
 
-def _grid_min(rows: np.ndarray, nx: int, objective: GridTerms, *feasible) -> float:
+def _grid_min(rows: np.ndarray, canonical: np.ndarray, nx: int, objective: GridTerms,
+              first, *rest) -> float:
     """Smallest objective over the channels of the `nx`-fold product of the
-    grid `rows` that pass every `feasible` test (inf if none).
+    grid `rows` that pass every feasibility test (inf if none).
+
+    The objective and the tests do not change when the auxiliary labels
+    are permuted in every slice at once, so only channels whose slice-0
+    row is among the `canonical` row indices are visited: each relabeling
+    orbit keeps at least one member.
 
     The product is walked in lexicographic order, one block at a time: a
     chunk of prefix rows (index columns of the first nx - 1 slices) paired
-    with a run of last-slice rows, at most `BATCH` channels in all.  A
-    block reaches each test as index columns shaped (b0, 1) for the prefix
-    and (1, nl) for the last slice, so a test broadcasts per-row tables into
-    a (b0, nl) mask.  Only the channels that pass are gathered for the
-    objective, so memory is bounded by `BATCH`.
+    with a run of last-slice rows, at most `BATCH` channels in all.  The
+    `first` test sees the block as index columns shaped (b0, 1) for the
+    prefix and (1, nl) for the last slice, so it broadcasts per-row tables
+    into a (b0, nl) mask.  Each later test, and then the objective, sees
+    only the survivors of the tests before it, as 1-D index columns in
+    row-major order; the per-channel arithmetic is elementwise, so a
+    channel's values do not depend on which form it arrives in.  Memory is
+    bounded by `BATCH`.
     """
     n = rows.shape[0]
-    n_last = min(n, BATCH)
+    # slice 0 is the prefix's first column, or the last slice when nx == 1
+    last_rows = canonical if nx == 1 else np.arange(n)
+    n_last = min(last_rows.size, BATCH)
     b0 = BATCH // n_last
-    prefix_shape = (n,) * (nx - 1)
+    prefix_shape = (canonical.size,) + (n,) * (nx - 2) if nx > 1 else ()
     n_prefix = math.prod(prefix_shape)
     best = math.inf
     for start in range(0, n_prefix, b0):
         pos = np.arange(start, min(start + b0, n_prefix))
         prefix = np.unravel_index(pos, prefix_shape) if nx > 1 else ()
-        for lo in range(0, n, n_last):
-            last = np.arange(lo, min(lo + n_last, n))
-            block = tuple(col[:, None] for col in prefix) + (last[None, :],)
-            mask = np.ones((pos.size, last.size), dtype=bool)
-            for keep in feasible:
-                mask &= keep(block)
-                if not mask.any():
+        if prefix:
+            prefix = (canonical[prefix[0]],) + prefix[1:]
+        for lo in range(0, last_rows.size, n_last):
+            last = last_rows[lo:lo + n_last]
+            hit_prefix, hit_last = np.nonzero(
+                first(tuple(col[:, None] for col in prefix) + (last[None, :],)))
+            idx = tuple(col[hit_prefix] for col in prefix) + (last[hit_last],)
+            for keep in rest:
+                if not idx[-1].size:
                     break
-            hit_prefix, hit_last = np.nonzero(mask)
-            if hit_last.size:
-                idx = tuple(col[hit_prefix] for col in prefix) + (last[hit_last],)
+                hit = keep(idx)
+                idx = tuple(col[hit] for col in idx)
+            if idx[-1].size:
                 best = min(best, float(objective.eval(idx).min()))
     return best
 
 
 def _gather_sum(tables: list[tuple[int, np.ndarray]], block: tuple[np.ndarray, ...]):
     """sum_x table_x[block[x]] over the (x, per-row table) pairs, added in
-    their order; broadcasts to the block's (b0, nl) shape."""
+    their order; broadcasts to the block's shape."""
     total = None
     for x, table in tables:
         part = table[block[x]]
@@ -120,15 +160,14 @@ def _gather_sum(tables: list[tuple[int, np.ndarray]], block: tuple[np.ndarray, .
 
 
 def _hb_grid(source: JointSource, u_caps: tuple[int, int], step: float, guard: int):
-    """Auxiliary grid rows, their U1 and U2 marginals and the two-decoder
-    objective over them."""
-    nu1, nu2 = u_caps
-    rows = _u_grid(source.nx, nu1 * nu2, step, guard)
+    """Auxiliary grid rows, their canonical row indices, their U1 and U2
+    marginals and the two-decoder objective over them."""
+    rows, canonical = _u_grid(source.nx, u_caps, step, guard)
     objective = GridTerms(HB_CR_TERMS, source.x_marginal(),
                           {1: source.xy1_marginal(), 2: source.xy2_marginal()},
                           [rows] * source.nx, [entropy_rows(rows)] * source.nx, u_caps)
-    table = rows.reshape(-1, nu1, nu2)
-    return rows, table.sum(axis=2), table.sum(axis=1), objective
+    table = rows.reshape(-1, *u_caps)
+    return rows, canonical, table.sum(axis=2), table.sum(axis=1), objective
 
 
 def _map_free_distortion(p_xy: np.ndarray, metric: DistortionMetric) -> float:
@@ -206,10 +245,10 @@ def brute_force_wz(pair_pmf: FinitePmf, metric: DistortionMetric, d: float,
         raise ShapeMismatchError("metric rows must equal |X|")
     if _map_free_distortion(p_xy, metric) <= budget_limit(d):
         return 0.0
-    rows = _u_grid(nx, u_cap, step, guard)
+    rows, canonical = _u_grid(nx, (u_cap, 1), step, guard)
     objective = GridTerms(POINT_TERMS, p_xy.sum(axis=1), {1: p_xy}, [rows] * nx,
                           [entropy_rows(rows)] * nx, (u_cap, 1))
-    best = _grid_min(rows, nx, objective,
+    best = _grid_min(rows, canonical, nx, objective,
                      _decoder_budget_test(p_xy, rows, metric, budget_limit(d)))
     if not math.isfinite(best):
         raise InfeasibleBudgetError(f"no auxiliary grid channel meets E[d] <= {d}")
@@ -233,9 +272,9 @@ def brute_force_hb_nocr(source: JointSource, metric1: DistortionMetric,
     if (_map_free_distortion(p_xy1, metric1) <= budget_limit(pair.d1)
             and _map_free_distortion(p_xy2, metric2) <= budget_limit(pair.d2)):
         return 0.0
-    rows, m1_rows, m2_rows, objective = _hb_grid(source, u_caps, step, guard)
+    rows, canonical, m1_rows, m2_rows, objective = _hb_grid(source, u_caps, step, guard)
     best = _grid_min(
-        rows, source.nx, objective,
+        rows, canonical, source.nx, objective,
         _decoder_budget_test(p_xy1, m1_rows, metric1, budget_limit(pair.d1)),
         _decoder_budget_test(p_xy2, m2_rows, metric2, budget_limit(pair.d2)))
     if not math.isfinite(best):
@@ -342,10 +381,12 @@ class _SumLimit:
     tables added in slice order, the last slice's last.
 
     Rounding is monotone, so for each prefix row the last-slice rows that
-    pass form a prefix of their ascending order.  A block therefore costs a
-    bisection per prefix row, on the sums exactly as the broadcast would
-    form them, and one rank comparison per channel, in the narrowest
-    integer type that holds the row count.
+    pass form a prefix of their ascending order.  A test therefore costs a
+    bisection per run of equal prefix rows (every row of a broadcast
+    block; the survivors of one prefix row, which `np.nonzero` keeps
+    together), on the sums exactly as the broadcast would form them, and
+    one rank comparison per channel, in the narrowest integer type that
+    holds the row count.
     """
 
     def __init__(self, tables: list[np.ndarray], limit: float):
@@ -357,7 +398,16 @@ class _SumLimit:
         self.limit = limit
 
     def __call__(self, block: tuple[np.ndarray, ...]) -> np.ndarray:
-        head = _gather_sum(self.prefix, block) if self.prefix else np.zeros((1, 1))
+        last = block[-1]
+        cols = [col.ravel() for col in block[:-1]]
+        size = cols[0].size if cols else 1
+        fresh = np.zeros(size, dtype=bool)
+        fresh[0] = True
+        for col in cols:
+            fresh[1:] |= col[1:] != col[:-1]
+        starts = np.flatnonzero(fresh)
+        head = (_gather_sum(self.prefix, [col[starts] for col in cols]) if cols
+                else np.zeros(1))
         # the first `lo` ascending rows pass, those from `hi` on fail
         lo = np.zeros(head.shape, dtype=np.intp)
         hi = np.full(head.shape, self.ascending.size, dtype=np.intp)
@@ -366,7 +416,8 @@ class _SumLimit:
             ok = head + self.ascending[np.minimum(mid, self.ascending.size - 1)] <= self.limit
             lo = np.where(open_ & ok, mid + 1, lo)
             hi = np.where(open_ & ~ok, mid, hi)
-        return self.rank[block[-1]] < lo.astype(self.rank.dtype)
+        lo = np.repeat(lo.astype(self.rank.dtype), np.diff(starts, append=size))
+        return self.rank[last] < lo.reshape(block[0].shape if cols else (1,) * last.ndim)
 
 
 def _side_test(m_u: np.ndarray, cd: np.ndarray, ce: np.ndarray, d_limit: float,
@@ -376,9 +427,8 @@ def _side_test(m_u: np.ndarray, cd: np.ndarray, ce: np.ndarray, d_limit: float,
     grid rows.
 
     Per slice x and map, the per-row tables are m_u @ cd[map, :, x] and
-    m_u @ ce[map, :, x].  The pointwise-over-maps lower bound (entrywise
-    minima over maps) prunes before the scan, and the scan visits the
-    undominated maps only.
+    m_u @ ce[map, :, x].  The scan visits the undominated maps only and
+    stops once every channel has met some map.
     """
     keep = _undominated(cd, ce)
     cd, ce = cd[keep], ce[keep]
@@ -386,19 +436,16 @@ def _side_test(m_u: np.ndarray, cd: np.ndarray, ce: np.ndarray, d_limit: float,
     # per x: (M, N), one row per map
     td = [cd[:, :, x] @ m_u.T for x in range(nx)]
     te = [ce[:, :, x] @ m_u.T for x in range(nx)]
-    bound_d = _SumLimit([m_u @ cd[:, :, x].min(axis=0) for x in range(nx)], d_limit)
-    bound_e = _SumLimit([m_u @ ce[:, :, x].min(axis=0) for x in range(nx)], e_limit)
     maps = [(_SumLimit([t[m] for t in td], d_limit), _SumLimit([t[m] for t in te], e_limit))
             for m in range(cd.shape[0])]
 
     def test(block: tuple[np.ndarray, ...]) -> np.ndarray:
-        undecided = bound_d(block) & bound_e(block)
-        live = undecided.copy()
+        met = False
         for meets_d, meets_e in maps:
-            if not undecided.any():
+            met = met | (meets_d(block) & meets_e(block))
+            if met.all():
                 break
-            undecided &= ~(meets_d(block) & meets_e(block))
-        return live & ~undecided
+        return met
     return test
 
 
@@ -426,7 +473,7 @@ def brute_force_conr(source: JointSource, metric1: DistortionMetric,
     px = source.x_marginal()
     p_xy1 = source.xy1_marginal()
     p_xy2 = source.xy2_marginal()
-    rows, m1_rows, m2_rows, objective = _hb_grid(source, u_caps, step, guard)
+    rows, canonical, m1_rows, m2_rows, objective = _hb_grid(source, u_caps, step, guard)
 
     maps1, heur1 = _decoder_maps(nu1, source.ny1, metric1.n_outputs, map_budget)
     maps2, heur2 = _decoder_maps(nu2, source.ny2, metric2.n_outputs, map_budget)
@@ -434,7 +481,7 @@ def brute_force_conr(source: JointSource, metric1: DistortionMetric,
     cd2, ce2 = _conr_cost_tables(maps2, p_xy2, px, metric2, conr.metric_e2)
 
     best = _grid_min(
-        rows, source.nx, objective,
+        rows, canonical, source.nx, objective,
         _side_test(m1_rows, cd1, ce1, budget_limit(pair.d1), budget_limit(conr.de1)),
         _side_test(m2_rows, cd2, ce2, budget_limit(pair.d2), budget_limit(conr.de2)))
     if not math.isfinite(best):

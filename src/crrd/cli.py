@@ -71,9 +71,15 @@ def emit_json(doc: dict, path: str | None) -> None:
 
 
 def _number(value: Any, field: str, kind: type = float) -> Any:
-    """`kind(value)`, or InvalidSpecError naming the spec field."""
+    """`kind(value)`, or InvalidSpecError naming the spec field.  Booleans
+    are not numbers here, and an `int` field takes integral values only."""
     try:
-        return kind(value)
+        if isinstance(value, bool):
+            raise TypeError
+        number = kind(value)
+        if kind is int and not isinstance(value, str) and number != value:
+            raise ValueError
+        return number
     except (TypeError, ValueError, OverflowError):
         raise InvalidSpecError(
             f"{field} must be {kind.__name__}, got {value!r}") from None

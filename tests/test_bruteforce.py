@@ -293,6 +293,14 @@ def _ref_conr_side(p_xy, q_u, d, d_e, budget, e_budget):
     return feasible
 
 
+def _ref_nocr_feasible(source, metric, q1, q2, pair) -> np.ndarray:
+    """(C,) bool: the best decoder maps meet both budgets."""
+    return ((_ref_best_map_distortion(source.xy1_marginal(), q1, metric.matrix)
+             <= pair.d1 + _TOL)
+            & (_ref_best_map_distortion(source.xy2_marginal(), q2, metric.matrix)
+               <= pair.d2 + _TOL))
+
+
 def _erasure_metric(nx: int) -> DistortionMetric:
     """Outputs 0..nx-1 (exact, other symbols forbidden) plus an erasure at cost 1."""
     m = np.full((nx, nx + 1), np.inf)
@@ -327,35 +335,37 @@ def _rate_or_inf(solve) -> float:
 @pytest.mark.parametrize("step", [0.25, 0.5])
 @pytest.mark.parametrize("nx", [1, 2, 3])
 class TestBlockFeasibility:
-    """The block walk against per-channel references, |X| = 1, 2, 3."""
+    """The orbit walk and the block cascade against unreduced per-channel
+    references (every channel of the `itertools.product` grid), |X| = 1, 2, 3."""
 
-    def test_wz(self, nx, step):
+    @pytest.mark.parametrize("u_cap", [1, 2, 3])
+    def test_wz(self, nx, step, u_cap):
         seed, pair = _BLOCK_CASES[nx]
         src = _zero_cell_source(nx, seed)
         metric = _erasure_metric(nx)
         p_xy = src.xy1_marginal()
-        for d in (pair.d2 / 2, pair.d2, pair.d1):
-            q = _ref_channels(nx, 3, step)
-            joint = p_xy[None, :, :, None] * q[:, :, None, :]     # (C, x, y, u)
-            rate = _ref_cmi(joint, {1}, {3}, {2})
-            feasible = _ref_best_map_distortion(p_xy, q, metric.matrix) <= d + _TOL
+        q = _ref_channels(nx, u_cap, step)
+        rate = _ref_cmi(p_xy[None, :, :, None] * q[:, :, None, :], {1}, {3}, {2})
+        distortion = _ref_best_map_distortion(p_xy, q, metric.matrix)
+        for d in (0.0, 0.05, pair.d2 / 2, pair.d2, pair.d1):
             got = _rate_or_inf(lambda: brute_force_wz(FinitePmf(p_xy), metric, d,
-                                                      u_cap=3, step=step))
-            assert got == pytest.approx(_ref_min_rate(rate, feasible), abs=_TOL)
+                                                      u_cap=u_cap, step=step))
+            assert got == pytest.approx(_ref_min_rate(rate, distortion <= d + _TOL),
+                                        abs=1e-12)
 
-    def test_hb_nocr(self, nx, step):
+    @pytest.mark.parametrize("caps", [(2, 2), (1, 3), (3, 2)])
+    def test_hb_nocr(self, nx, step, caps):
+        if nx == 3 and caps == (3, 2):
+            step = 0.5                         # 126 ** 3 channels at step 0.25
         seed, base = _BLOCK_CASES[nx]
         src = _zero_cell_source(nx, seed)
         metric = _erasure_metric(nx)
-        rate, q1, q2 = _ref_hb(src, (2, 2), step)
-        for pair in (base, DistortionPair(base.d2, base.d1)):
-            feasible = ((_ref_best_map_distortion(src.xy1_marginal(), q1, metric.matrix)
-                         <= pair.d1 + _TOL)
-                        & (_ref_best_map_distortion(src.xy2_marginal(), q2, metric.matrix)
-                           <= pair.d2 + _TOL))
+        rate, q1, q2 = _ref_hb(src, caps, step)
+        for pair in (base, DistortionPair(base.d2, base.d1), DistortionPair(0.05, 0.02)):
+            feasible = _ref_nocr_feasible(src, metric, q1, q2, pair)
             got = _rate_or_inf(lambda: brute_force_hb_nocr(src, metric, metric, pair,
-                                                           u_caps=(2, 2), step=step))
-            assert got == pytest.approx(_ref_min_rate(rate, feasible), abs=_TOL)
+                                                           u_caps=caps, step=step))
+            assert got == pytest.approx(_ref_min_rate(rate, feasible), abs=1e-12)
 
     def test_conr(self, nx, step):
         seed, pair = _BLOCK_CASES[nx]
@@ -396,19 +406,127 @@ def _rate_and_channels(solve) -> tuple[float, list[tuple[int, ...]]]:
 
 @pytest.mark.parametrize("nx", [1, 2, 3])
 def test_small_blocks_split_both_axes(nx, monkeypatch):
-    # 7 channels per block at step 0.5 (6 to 10 rows per slice): prefix
+    # 7 channels per block at step 0.5 (6 to 21 rows per slice): prefix
     # chunks of one row and last-slice runs of up to seven, so every kind
-    # of block boundary is crossed; the same channels reach the objective
+    # of block boundary is crossed, and the later tests (ConR's second side
+    # included) see short survivor runs; the same channels reach the objective
     seed, pair = _BLOCK_CASES[nx]
     src = _zero_cell_source(nx, seed)
     metric = _erasure_metric(nx)
     metric_e = DistortionMetric.hamming(nx + 1)
     conr = ConRConstraint(0.0, 0.0, metric_e, metric_e)
+    loose = ConRConstraint(0.25, 0.25, metric_e, metric_e)
     solves = (
         lambda: brute_force_wz(FinitePmf(src.xy1_marginal()), metric, pair.d2,
                                u_cap=3, step=0.5),
         lambda: brute_force_hb_nocr(src, metric, metric, pair, step=0.5),
-        lambda: brute_force_conr(src, metric, metric, pair, conr, step=0.5))
+        lambda: brute_force_hb_nocr(src, metric, metric, pair, u_caps=(3, 2), step=0.5),
+        lambda: brute_force_conr(src, metric, metric, pair, conr, step=0.5),
+        lambda: brute_force_conr(src, metric, metric, pair, loose, step=0.5),
+        lambda: brute_force_conr(src, metric, metric, pair, loose, u_caps=(1, 3),
+                                 step=0.5, map_budget=10))
     whole = [_rate_and_channels(solve) for solve in solves]
+    assert any(seen for _, seen in whole[3:])
     monkeypatch.setattr(crrd.bruteforce, "BATCH", 7)
     assert [_rate_and_channels(solve) for solve in solves] == whole
+
+
+# --------------------------------------------------------------------------
+# The orbit walk visits only channels whose slice-0 row has nonincreasing U1
+# and U2 marginals; every relabeling orbit must keep a member.
+
+def _ref_units(cells: int, units: int) -> list[tuple[int, ...]]:
+    """Grid rows in integer units, in lexicographic order."""
+    return [r for r in itertools.product(range(units + 1), repeat=cells) if sum(r) == units]
+
+
+def _relabelings(row: tuple[int, ...], caps: tuple[int, int]) -> list[tuple[int, ...]]:
+    """The row under every permutation of the U1 labels and of the U2 labels,
+    in a fixed order of the permutations."""
+    table = np.reshape(row, caps)
+    return [tuple(table[np.ix_(p1, p2)].ravel().tolist())
+            for p1 in itertools.permutations(range(caps[0]))
+            for p2 in itertools.permutations(range(caps[1]))]
+
+
+def _nonincreasing_marginals(row: tuple[int, ...], caps: tuple[int, int]) -> bool:
+    table = np.reshape(row, caps)
+    return all((np.diff(table.sum(axis=axis)) <= 0).all() for axis in (1, 0))
+
+
+def _tied_marginals(row: tuple[int, ...], caps: tuple[int, int]) -> bool:
+    table = np.reshape(row, caps)
+    return any(len(set(m)) < len(m) for m in (table.sum(axis=1).tolist(),
+                                               table.sum(axis=0).tolist()))
+
+
+@pytest.mark.parametrize("step", [0.25, 0.5])
+@pytest.mark.parametrize("caps", [(2, 2), (1, 3), (3, 2), (3, 1)])
+def test_every_grid_row_has_a_canonical_relabeling(caps, step):
+    rows, canonical = crrd.bruteforce._u_grid(1, caps, step, guard=10**6)
+    units = round(1 / step)
+    ref = _ref_units(caps[0] * caps[1], units)
+    assert np.rint(rows * units).astype(int).tolist() == [list(r) for r in ref]
+    kept = {ref[i] for i in canonical}
+    # every row with nonincreasing marginals stays, so tied rows keep all
+    # their canonical relabelings
+    assert kept == {r for r in ref if _nonincreasing_marginals(r, caps)}
+    assert all(kept.intersection(_relabelings(r, caps)) for r in ref)
+
+
+def test_canonical_row_counts():
+    _, canonical = crrd.bruteforce._u_grid(2, (2, 2), 0.05, guard=10**7)
+    assert canonical.size == 506          # of 1,771
+    _, canonical = crrd.bruteforce._u_grid(2, (3, 1), 0.025, guard=10**7)
+    assert canonical.size == 154          # of 861
+    # tied marginals: both labelings of the half-half row stay
+    rows, canonical = crrd.bruteforce._u_grid(1, (2, 2), 0.5, guard=10**6)
+    kept = rows[canonical].tolist()
+    assert [0.5, 0.0, 0.0, 0.5] in kept and [0.0, 0.5, 0.5, 0.0] in kept
+
+
+def test_guard_counts_the_full_product():
+    # the walk visits 154 * 861 channels, but the guard sees 861 ** 2
+    pmf = erased_pair_pmf(0.35)
+    m = DistortionMetric.hamming(2)
+    with pytest.raises(GuardExceededError) as info:
+        brute_force_wz(pmf, m, 0.1, u_cap=3, step=0.025, guard=861 ** 2 - 1)
+    assert (info.value.count, info.value.guard) == (861 ** 2, 861 ** 2 - 1)
+
+
+def _relabeled_channels(channel: tuple[int, ...], rows: list[tuple[int, ...]],
+                        caps: tuple[int, int]) -> set[tuple[int, ...]]:
+    """Row indices of the channel under every joint relabeling of its slices."""
+    index = {row: i for i, row in enumerate(rows)}
+    return set(zip(*([index[r] for r in _relabelings(rows[i], caps)] for i in channel)))
+
+
+@pytest.mark.parametrize("caps", [(2, 2), (1, 3), (3, 2), (3, 1)])
+def test_visited_channels_cover_every_feasible_orbit(caps):
+    # the objective sees exactly the feasible channels with a canonical
+    # slice-0 row (ties included), and they meet every feasible orbit
+    nx, step = 2, 0.5
+    src = _zero_cell_source(nx, _BLOCK_CASES[nx][0])
+    metric = _erasure_metric(nx)
+    if caps[1] == 1:
+        p_xy = src.xy1_marginal()
+        q = _ref_channels(nx, caps[0], step)
+        feasible = _ref_best_map_distortion(p_xy, q, metric.matrix) <= 0.3 + _TOL
+        solve = lambda: brute_force_wz(FinitePmf(p_xy), metric, 0.3, u_cap=caps[0],  # noqa: E731
+                                       step=step)
+    else:
+        pair = DistortionPair(0.6, 0.5)
+        _, q1, q2 = _ref_hb(src, caps, step)
+        feasible = _ref_nocr_feasible(src, metric, q1, q2, pair)
+        solve = lambda: brute_force_hb_nocr(src, metric, metric, pair,  # noqa: E731
+                                            u_caps=caps, step=step)
+    rows = _ref_units(caps[0] * caps[1], round(1 / step))
+    picks = list(itertools.product(range(len(rows)), repeat=nx))
+    feasible_set = {c for c, ok in zip(picks, feasible) if ok}
+    _, seen = _rate_and_channels(solve)
+    visited = set(seen)
+    assert len(visited) == len(seen)
+    assert visited == {c for c in feasible_set if _nonincreasing_marginals(rows[c[0]], caps)}
+    assert any(_tied_marginals(rows[c[0]], caps) for c in visited)
+    assert all(_relabeled_channels(c, rows, caps) & visited for c in feasible_set)
+    assert len(feasible_set) > len(visited) > 0

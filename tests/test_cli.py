@@ -127,11 +127,17 @@ class TestExitCodes:
          "--solver", "grid", "--step", ".25", "--chain", "foo"],
         ["coop-cr", "--model", "binary-erased:1,0.35", "--d1", ".3", "--d2", ".3",
          "--solver", "descent", "--weights", "0"],
+        ["figure", "--spec", "{figure_float_id}"],
+        ["figure", "--spec", "{figure_bool_id}"],
+        ["hb-nocr", "--spec", "{float_cap}"],
+        ["hb-nocr", "--spec", "{bool_budget}"],
+        ["wz", "--spec", "{bool_step}"],
     ], ids=["sweep-number", "binary-number", "gaussian-number", "custom-key",
             "spec-number", "source-key", "source-length", "metric-length",
             "pair-pmf-key", "spec-not-object", "spec-int-overflow", "metric-type",
             "negative-seed", "nan-point-budget", "nan-wz-budget", "nan-conr-budget",
-            "labels-type", "coop-chain", "cascade-chain", "zero-weights"])
+            "labels-type", "coop-chain", "cascade-chain", "zero-weights",
+            "figure-float-id", "figure-bool-id", "float-cap", "bool-budget", "bool-step"])
     def test_malformed_spec_exits_2(self, argv, tmp_path, capsys):
         src = json.loads(crrd.build_erased_source(crrd.BinaryErasureSpec(0.5, 0.35)).to_json())
         ham = json.loads(crrd.DistortionMetric.hamming(2).to_json())
@@ -147,6 +153,13 @@ class TestExitCodes:
             "spec_inf": {"model": "binary-erased:1,0.35", "restarts": float("inf")},
             "spec_metric": {"model": "binary-erased:1,0.35", "d1": 0.1, "metric": 7},
             "int_labels": {"source": {**src, "labels": 5}},
+            "figure_float_id": {"id": 8.9, "step": 0.5},
+            "figure_bool_id": {"id": True, "step": 0.5},
+            "float_cap": {"model": "binary-erased:1,0.35", "d1": 0.1, "d2": 0.05,
+                          "u1_cap": 2.5, "step": 0.5},
+            "bool_budget": {"model": "binary-erased:1,0.35", "d1": True, "d2": 0.05,
+                            "step": 0.5},
+            "bool_step": {"model": "binary-erased:0.35", "d1": 0.1, "step": True},
         }
         paths = {}
         for name, doc in files.items():
@@ -237,6 +250,18 @@ _REGION_SPECS = st.tuples(_REGION_BASE, st.fixed_dictionaries({}, optional={
 })).map(lambda specs: {**specs[0], **specs[1]})
 
 
+# Figure presets: valid and invalid ids and steps, coarse steps only, so a
+# figure-8 draw runs ten small brute-force solves.
+_FIGURE_SPECS = st.fixed_dictionaries({
+    "id": st.sampled_from([6, 8, 7, 8.9, True]),
+    "step": st.sampled_from([0.25, 0.5, 0, 0.3, True]),
+}, optional={
+    "u1_cap": st.sampled_from([1, 2, 0, 2.5]),
+    "u2_cap": st.sampled_from([1, 2, 0, 2.5]),
+    "format": st.sampled_from(["csv", "json"]),
+})
+
+
 def _assert_exit_documented(tmp_path_factory, command, spec, data):
     """Put a drawn subset of the spec on argv, the rest in a spec file."""
     on_argv = data.draw(st.lists(st.sampled_from(sorted(spec)), unique=True))
@@ -255,6 +280,11 @@ class TestExitCodeContract:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_exit_code_always_documented(self, tmp_path_factory, command, spec, data):
         _assert_exit_documented(tmp_path_factory, command, spec, data)
+
+    @given(spec=_FIGURE_SPECS, data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_figure_exit_code_documented(self, tmp_path_factory, spec, data):
+        _assert_exit_documented(tmp_path_factory, "figure", spec, data)
 
     @given(command=st.sampled_from(["coop-cr", "cascade-cr"]), spec=_REGION_SPECS,
            data=st.data())
