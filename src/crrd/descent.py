@@ -9,11 +9,16 @@ tolerance is 1e-10.  Inputs that have not settled after the cycle budget
 fall back to plain alternating projection, which can end outside the
 budgets: only the simplex constraints are guaranteed on every output.
 
-All starts of one descent run in lockstep.  Each round stacks the pending
-line-search probe of every running start and projects the stack in one
-batched Dykstra call, in which every row stops on its own test; the
-objective and the accept/halve/stop decisions stay per start, so each
-start takes exactly the path it would take alone.
+All starts of one descent run in lockstep.  Each round stacks, for every
+running start, the line-search probes at the next `_PROBES` step lengths
+(t, t/2, t/4) and projects the stack in one batched Dykstra call, in which
+every row stops on its own test.  A halving needs no objective value at a
+new point, so the probes a start would try after rejections can be
+projected ahead.  The objective and the accept/halve/stop decisions stay
+per start: a start walks its probes in order up to its first accept or
+stop and drops the rest, so it takes exactly the path it would take alone.
+A probe that the projection leaves over a budget counts as a rejection,
+and only starts that end within the budgets can win.
 
 The objective is any nonnegative combination of conditional mutual
 informations I(X; B | Y, D), given as `MITerm`s; values and analytic
@@ -34,6 +39,7 @@ from scipy.optimize import linprog
 from .channels import TestChannel
 from .closed_form import DistortionPair
 from .errors import InfeasibleBudgetError, InvalidSpecError
+from .gridsearch import BATCH
 from .measures import HB_CR_TERMS, MITerm, term_value_grad
 from .prob import DistortionMetric, JointSource
 
@@ -46,6 +52,8 @@ __all__ = [
 
 _DYKSTRA_TOL = 1e-10
 _BUDGET_TOL = 1e-9
+#: line-search probes projected per start and round: t, t/2, ..., t/2**(_PROBES-1)
+_PROBES = 3
 
 
 class _Feasible:
@@ -53,6 +61,8 @@ class _Feasible:
 
     Points are rows of a (rows, dim) stack; every projection acts on all
     rows at once and gives each row exactly the bits it would get alone.
+    `cycles` counts the sweeps `project` has run on its stacks: Dykstra
+    cycles plus any fallback sweeps.
     """
 
     def __init__(self, source: JointSource, metric1: DistortionMetric,
@@ -81,6 +91,7 @@ class _Feasible:
             px[x] * np.tile(d2[x], m1)[self.support[x]] for x in range(nx)])
         self.halfspaces = [(w1, pair.d1, float(w1 @ w1)),
                            (w2, pair.d2, float(w2 @ w2))]
+        self.cycles = 0
 
     def flatten(self, q: np.ndarray) -> np.ndarray:
         return q.reshape(-1)[self.cells]
@@ -132,6 +143,7 @@ class _Feasible:
         x = z.copy()
         incr = [np.zeros_like(z) for _ in sets]
         for _ in range(max_cycles):
+            self.cycles += 1
             x_prev = x
             for i, proj in enumerate(sets):
                 u = x + incr[i]
@@ -148,6 +160,7 @@ class _Feasible:
                 return out
         rest = live
         for _ in range(max_cycles):
+            self.cycles += 1
             for proj in sets:
                 x = proj(x)
             done = self._feasible(x)
@@ -191,6 +204,8 @@ class DescentResult:
     witness: TestChannel
     restarts: int
     best_start: int   # index of the start that won (0 = init/LP start)
+    rounds: int       # lockstep rounds, one `project` call each
+    cycles: int       # projection cycles summed over those rounds
 
 
 def _objective(source: JointSource, q: np.ndarray,
@@ -217,14 +232,23 @@ def descent_weighted(source: JointSource, metric1: DistortionMetric,
 
     Deterministic for a fixed seed.  Starts from `init` (when given), the
     LP feasible point, and `restarts` random projected channels; returns
-    the best local minimum with its witness, ties going to the earliest
-    start.  The starts run in lockstep: each round projects the pending
-    line-search probe of every running start in one `project` call, while
-    accepting, halving and stopping stay per start, so every start takes
-    the path it would take alone.
+    the best local minimum that meets the budgets, with its witness, ties
+    going to the earliest start.  The starts run in lockstep: each round
+    projects, for every running start, the probes at its next `_PROBES`
+    step lengths (t, t/2, t/4) in one `project` call.  Each start then
+    walks its probes in order, halving on a rejection, and stops using
+    them at its first accept, at its 25th halving, at `tol` or at
+    `max_iter`; the probes it did not reach are dropped.  Accepting,
+    halving and stopping stay per start, so every start takes the path it
+    would take alone.  A probe that `project` leaves over a budget is a
+    rejection.  Raises InvalidSpecError when one round's probe stack could
+    exceed `gridsearch.BATCH` rows, and InfeasibleBudgetError when no start
+    ends within the budgets.
     """
     if restarts < 0 or seed < 0:
         raise InvalidSpecError("restarts and seed must be >= 0")
+    if (restarts + 2) * _PROBES > BATCH:
+        raise InvalidSpecError(f"restarts must be at most {BATCH // _PROBES - 2}")
     weights = np.asarray(weights, dtype=float)
     feas = _Feasible(source, metric1, metric2, pair)
     rng = np.random.default_rng(seed)
@@ -236,7 +260,7 @@ def descent_weighted(source: JointSource, metric1: DistortionMetric,
     for _ in range(restarts):
         raw.append(np.concatenate([
             rng.dirichlet(np.ones(s.size)) for s in feas.support]))
-    starts = feas.project(np.stack(raw))
+    z = feas.project(np.stack(raw))
 
     def evaluate(z: np.ndarray) -> tuple[float, np.ndarray]:
         v, g = _objective(source, feas.unflatten(z), terms, weights)
@@ -247,7 +271,6 @@ def descent_weighted(source: JointSource, metric1: DistortionMetric,
         # feasible set despite the clipped logs at zero-mass cells
         return g / max(1.0, float(np.max(np.abs(g))))
 
-    z = starts.copy()
     val: list[float] = []
     gz = np.empty_like(z)
     for i in range(len(z)):
@@ -257,36 +280,53 @@ def descent_weighted(source: JointSource, metric1: DistortionMetric,
     t = np.full(len(z), 0.5)    # next probe's step length, per start
     halvings = [0] * len(z)     # failed probes at the current iterate
     accepted = [0] * len(z)
-    live = list(range(len(z))) if max_iter > 0 else []
-    while live:
-        probes = feas.project(z[live] - t[live, None] * gz[live])
-        running = []
-        for i, z_new in zip(live, probes):
-            v_new, g_new = evaluate(z_new)
-            if v_new < val[i] - 1e-15:
-                rel = (val[i] - v_new) / max(abs(val[i]), 1e-12)
-                z[i], val[i] = z_new, v_new
-                accepted[i] += 1
-                if rel < tol or accepted[i] == max_iter:
-                    continue
-                gz[i] = direction(g_new)
-                t[i] = min(max(t[i] * 2.0, 1e-6), 1.0)
-                halvings[i] = 0
-            else:
-                t[i] *= 0.5
-                halvings[i] += 1
-                if halvings[i] == 25:
-                    continue
-            running.append(i)
-        live = running
 
-    best_val, best_z, best_start = math.inf, starts[0], 0
+    def advance(i: int, probes: np.ndarray, feasible: np.ndarray) -> bool:
+        """Start i's probes in order; False once the start stops."""
+        for z_new, ok in zip(probes, feasible):
+            if ok:
+                v_new, g_new = evaluate(z_new)
+                if v_new < val[i] - 1e-15:
+                    rel = (val[i] - v_new) / max(abs(val[i]), 1e-12)
+                    z[i], val[i] = z_new, v_new
+                    accepted[i] += 1
+                    if rel < tol or accepted[i] == max_iter:
+                        return False
+                    gz[i] = direction(g_new)
+                    t[i] = min(max(t[i] * 2.0, 1e-6), 1.0)
+                    halvings[i] = 0
+                    return True
+            t[i] *= 0.5
+            halvings[i] += 1
+            if halvings[i] == 25:
+                return False
+        return True
+
+    # powers of two: t * 2**-k has the bits of t halved k times
+    scale = 0.5 ** np.arange(_PROBES)
+    live = list(range(len(z))) if max_iter > 0 else []
+    rounds, start_cycles = 0, feas.cycles
+    while live:
+        rows = np.repeat(live, _PROBES)
+        steps = (t[live, None] * scale).reshape(-1, 1)
+        probes = feas.project(z[rows] - steps * gz[rows])
+        feasible = feas._feasible(probes).reshape(len(live), _PROBES)
+        probes = probes.reshape(len(live), _PROBES, -1)
+        rounds += 1
+        live = [i for i, p, f in zip(live, probes, feasible) if advance(i, p, f)]
+
+    final_ok = feas._feasible(z)
+    best_val, best_start = math.inf, -1
     for i, v in enumerate(val):
-        if v < best_val - 1e-15:
-            best_val, best_z, best_start = v, z[i], i
-    witness = TestChannel(feas.unflatten(best_z))
+        if final_ok[i] and v < best_val - 1e-15:
+            best_val, best_start = v, i
+    if best_start < 0:
+        raise InfeasibleBudgetError(
+            "no descent start ended within the distortion budgets")
+    witness = TestChannel(feas.unflatten(z[best_start]))
     return DescentResult(rate=max(0.0, best_val), witness=witness,
-                         restarts=restarts, best_start=best_start)
+                         restarts=restarts, best_start=best_start,
+                         rounds=rounds, cycles=feas.cycles - start_cycles)
 
 
 def feasible_channel(source: JointSource, metric1: DistortionMetric,

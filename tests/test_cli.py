@@ -132,12 +132,14 @@ class TestExitCodes:
         ["hb-nocr", "--spec", "{float_cap}"],
         ["hb-nocr", "--spec", "{bool_budget}"],
         ["wz", "--spec", "{bool_step}"],
+        ["hb-cr", "--spec", "{huge_restarts}"],
     ], ids=["sweep-number", "binary-number", "gaussian-number", "custom-key",
             "spec-number", "source-key", "source-length", "metric-length",
             "pair-pmf-key", "spec-not-object", "spec-int-overflow", "metric-type",
             "negative-seed", "nan-point-budget", "nan-wz-budget", "nan-conr-budget",
             "labels-type", "coop-chain", "cascade-chain", "zero-weights",
-            "figure-float-id", "figure-bool-id", "float-cap", "bool-budget", "bool-step"])
+            "figure-float-id", "figure-bool-id", "float-cap", "bool-budget", "bool-step",
+            "huge-restarts"])
     def test_malformed_spec_exits_2(self, argv, tmp_path, capsys):
         src = json.loads(crrd.build_erased_source(crrd.BinaryErasureSpec(0.5, 0.35)).to_json())
         ham = json.loads(crrd.DistortionMetric.hamming(2).to_json())
@@ -160,6 +162,8 @@ class TestExitCodes:
             "bool_budget": {"model": "binary-erased:1,0.35", "d1": True, "d2": 0.05,
                             "step": 0.5},
             "bool_step": {"model": "binary-erased:0.35", "d1": 0.1, "step": True},
+            "huge_restarts": {"model": "binary-erased:1,0.35", "d1": 0.1, "d2": 0.05,
+                              "solver": "descent", "restarts": 1e300},
         }
         paths = {}
         for name, doc in files.items():

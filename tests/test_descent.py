@@ -9,6 +9,7 @@ from crrd import (
     DistortionMetric,
     DistortionPair,
     InfeasibleBudgetError,
+    InvalidSpecError,
     binary_hb_test_channel,
     descent_hb_cr,
     eval_distortions,
@@ -16,7 +17,8 @@ from crrd import (
     feasible_channel,
     grid_oracle_hb_cr,
 )
-from crrd.descent import _Feasible, _objective, descent_weighted
+from crrd.descent import _PROBES, _Feasible, _objective, descent_weighted
+from crrd.gridsearch import BATCH
 from crrd.measures import HB_CR_TERMS, MITerm, term_value_grad
 from conftest import ALL_TERMS, random_channel, random_source
 
@@ -174,38 +176,60 @@ def _reference_project(feas, z, max_cycles=2000):
 
 def _reference_descent(source, m1, m2, pair, terms, weights, restarts, seed,
                        max_iter, tol=1e-6):
-    """One start at a time, each run to its end before the next begins."""
+    """One start at a time, each run to its end before the next begins.
+
+    A probe over a budget is a rejection, and only starts that end within
+    the budgets can win.  Besides the rate, witness and winning start,
+    returns each start's stop as (rule, tried): the rule "tol", "max_iter"
+    or "halvings" that ended it, and the number of probes tried at each of
+    its iterates, the last one ending on the stopping probe (None when
+    max_iter is 0).
+    """
     feas = _Feasible(source, m1, m2, pair)
     weights = np.asarray(weights, dtype=float)
     rng = np.random.default_rng(seed)
+
+    def within_budgets(x):
+        return max(float(w @ x) - b for w, b, _ in feas.halfspaces) < 1e-9
+
     starts = [_reference_project(feas, feas.feasible_start())]
     for _ in range(restarts):
         starts.append(_reference_project(feas, np.concatenate([
             rng.dirichlet(np.ones(s.size)) for s in feas.support])))
-    best_val, best_z, best_start = math.inf, starts[0], 0
+    best_val, best_z, best_start = math.inf, None, None
+    stops = []
     for si, z in enumerate(starts):
         val, grad = _objective(source, feas.unflatten(z), terms, weights)
         step = 0.5
+        stop, tried = None, []
         for _ in range(max_iter):
             gz = feas.flatten(grad)
             gz = gz / max(1.0, float(np.max(np.abs(gz))))
             t = step
-            for _ in range(25):
+            for probe in range(25):
                 z_new = _reference_project(feas, z - t * gz)
-                v_new, g_new = _objective(source, feas.unflatten(z_new), terms, weights)
-                if v_new < val - 1e-15:
-                    break
+                if within_budgets(z_new):
+                    v_new, g_new = _objective(source, feas.unflatten(z_new), terms, weights)
+                    if v_new < val - 1e-15:
+                        break
                 t *= 0.5
             else:
+                tried.append(25)
+                stop = ("halvings", tried)
                 break
+            tried.append(probe + 1)
             rel = (val - v_new) / max(abs(val), 1e-12)
             z, val, grad = z_new, v_new, g_new
             step = min(max(t * 2.0, 1e-6), 1.0)
+            stop = ("tol" if rel < tol else "max_iter", tried)
             if rel < tol:
                 break
-        if val < best_val - 1e-15:
+        stops.append(stop)
+        if within_budgets(z) and val < best_val - 1e-15:
             best_val, best_z, best_start = val, z, si
-    return max(0.0, best_val), feas.unflatten(best_z), best_start
+    if best_z is None:
+        raise InfeasibleBudgetError("no start ended within the budgets")
+    return max(0.0, best_val), feas.unflatten(best_z), best_start, stops
 
 
 class TestBatchedProjection:
@@ -281,11 +305,26 @@ class TestBatchedProjection:
 class TestLockstepDescent:
     """All starts in lockstep take the bits of starts run one by one."""
 
-    @pytest.mark.parametrize("case", ["erased", "forbidden3"])
-    @pytest.mark.parametrize("max_iter, tol", [(40, 1e-6), (3, 1e-6), (60, 0.0)],
-                             ids=["tol", "max_iter", "no_tol"])
-    def test_matches_one_start_at_a_time(self, case, max_iter, tol, erased_full,
-                                         hamming2):
+    # Each row makes some start stop by `rule` on the 2nd or 3rd probe of
+    # a lockstep round, where the probes it did not reach are dropped.
+    # The 25th halving is the 25th probe at one iterate, and 24 failed
+    # probes fill whole rounds, so that stop is always a round's 1st probe.
+    @pytest.mark.parametrize("case, max_iter, tol, seed, rule", [
+        ("erased", 40, 1e-6, 9, "tol"),
+        ("forbidden3", 40, 1e-6, 5, "tol"),
+        ("erased", 3, 1e-6, 5, "max_iter"),
+        ("forbidden3", 3, 1e-6, 5, "max_iter"),
+        ("forbidden3", 1, 0.0, 0, "max_iter"),
+        ("erased", 2, 0.0, 5, "max_iter"),
+        ("forbidden3", 2, 0.0, 5, "max_iter"),
+        ("forbidden3", 5, 0.0, 1, "max_iter"),
+        ("erased", 300, 0.0, 5, "halvings"),
+        ("forbidden3", 60, 0.0, 5, "halvings"),
+    ], ids=["tol-erased", "tol-forbidden3", "max_iter-erased", "max_iter-forbidden3",
+            "max_iter1-forbidden3", "max_iter2-erased", "max_iter2-forbidden3",
+            "max_iter5-forbidden3", "halvings-erased", "halvings-forbidden3"])
+    def test_matches_one_start_at_a_time(self, case, max_iter, tol, seed, rule,
+                                         erased_full, hamming2):
         if case == "erased":
             src, m1, m2 = erased_full, hamming2, hamming2
             pair, terms, weights = DistortionPair(0.1, 0.05), HB_CR_TERMS, (1.0, 1.0)
@@ -296,10 +335,80 @@ class TestLockstepDescent:
             pair = DistortionPair(0.6, 0.4)
             terms, weights = (MITerm((1, 2), 1), MITerm((2,), 2, (1,))), (0.3, 0.7)
         res = descent_weighted(src, m1, m2, pair, terms, weights, restarts=3,
-                               tol=tol, seed=5, max_iter=max_iter)
-        rate, cond, best_start = _reference_descent(
-            src, m1, m2, pair, terms, weights, restarts=3, seed=5,
+                               tol=tol, seed=seed, max_iter=max_iter)
+        rate, cond, best_start, stops = _reference_descent(
+            src, m1, m2, pair, terms, weights, restarts=3, seed=seed,
             max_iter=max_iter, tol=tol)
         assert repr(res.rate) == repr(rate)
         assert np.array_equal(res.witness.cond, cond)
         assert res.best_start == best_start
+        # a start takes ceil(n / _PROBES) rounds at an iterate where it
+        # tries n probes; the lockstep runs until its longest start stops
+        assert res.rounds == max(sum(-(-n // _PROBES) for n in tried)
+                                 for _, tried in stops)
+        positions = {(tried[-1] - 1) % _PROBES for r, tried in stops if r == rule}
+        assert positions & ({0} if rule == "halvings" else {1, 2}), stops
+
+    def test_counts_repeat_for_a_seed(self, erased_full, hamming2):
+        pair = DistortionPair(0.15, 0.1)
+        a, b = (descent_hb_cr(erased_full, hamming2, hamming2, pair, restarts=5, seed=9)
+                for _ in range(2))
+        assert (a.rounds, a.cycles) == (b.rounds, b.cycles)
+        assert a.cycles >= a.rounds > 0
+
+    def test_flat_objective_stops_at_the_25th_halving(self, erased_full, hamming2,
+                                                      monkeypatch):
+        # zero weights: no probe improves, so each of the 3 starts is
+        # evaluated once and then rejects 25 probes
+        calls = []
+        monkeypatch.setattr(crrd.descent, "_objective",
+                            lambda *a: calls.append(1) or _objective(*a))
+        res = descent_weighted(erased_full, hamming2, hamming2, DistortionPair(0.1, 0.05),
+                               HB_CR_TERMS, (0.0, 0.0), restarts=2, seed=0)
+        assert len(calls) == 3 * 26
+        assert res.rounds == -(-25 // _PROBES)
+        assert (res.rate, res.best_start) == (0.0, 0)
+
+    def test_start_projection_is_not_counted(self, erased_full, hamming2):
+        res = descent_weighted(erased_full, hamming2, hamming2, DistortionPair(0.1, 0.05),
+                               HB_CR_TERMS, (1.0, 1.0), restarts=2, seed=0, max_iter=0)
+        assert (res.rounds, res.cycles) == (0, 0)
+
+
+class TestBudgetGuard:
+    """Probes and final iterates over a budget never win."""
+
+    @staticmethod
+    def _short_projection(monkeypatch, max_cycles):
+        project = _Feasible.project
+        monkeypatch.setattr(_Feasible, "project",
+                            lambda self, z, **_: project(self, z, max_cycles=max_cycles))
+
+    @pytest.mark.parametrize("max_cycles", [1, 2])
+    def test_truncated_projection_keeps_witness_in_budget(self, monkeypatch, max_cycles,
+                                                          erased_full, hamming2):
+        # far from converged, many projected probes end over a budget
+        self._short_projection(monkeypatch, max_cycles)
+        pair = DistortionPair(0.1, 0.05)
+        res = descent_hb_cr(erased_full, hamming2, hamming2, pair, restarts=4, seed=2)
+        d1, d2 = eval_distortions(erased_full, res.witness, hamming2, hamming2)
+        assert d1 <= pair.d1 + 1e-9 and d2 <= pair.d2 + 1e-9
+        assert eval_hb_cr_objective(erased_full, res.witness) == pytest.approx(
+            res.rate, abs=1e-9)
+
+    def test_no_start_within_budgets_raises(self, monkeypatch, erased_full, hamming2):
+        self._short_projection(monkeypatch, 1)
+        monkeypatch.setattr(_Feasible, "_feasible",
+                            lambda self, z: np.zeros(z.shape[0], dtype=bool))
+        with pytest.raises(InfeasibleBudgetError):
+            descent_hb_cr(erased_full, hamming2, hamming2, DistortionPair(0.1, 0.05),
+                          restarts=2, seed=0)
+
+    def test_restarts_bounded_by_batch(self, erased_full, hamming2, monkeypatch):
+        monkeypatch.setattr(_Feasible, "feasible_start", None)   # no start is drawn
+        with pytest.raises(InvalidSpecError):
+            descent_hb_cr(erased_full, hamming2, hamming2, DistortionPair(0.1, 0.05),
+                          restarts=BATCH // _PROBES - 1)
+        with pytest.raises(InvalidSpecError):
+            descent_hb_cr(erased_full, hamming2, hamming2, DistortionPair(0.1, 0.05),
+                          restarts=10**300)
