@@ -16,9 +16,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -42,6 +43,8 @@ __all__ = ["main", "run_command", "emit_csv", "emit_json"]
 _SCALAR_COLUMNS = ["sweep_var", "value", "rate_bits", "solver", "flag"]
 _REGION_COLUMNS = ["sweep_var", "value", "r1_bits", "r2_bits", "solver", "flag",
                    "provenance"]
+#: Most points one sweep may ask for; each point is a separate solve.
+_MAX_SWEEP_POINTS = 10_000
 
 
 def _fmt(v: Any) -> str:
@@ -90,14 +93,6 @@ def _get(spec: dict, key: str, default: Any, kind: type = float) -> Any:
     return _number(spec.get(key, default), key, kind)
 
 
-def _field(doc: dict, key: str) -> Any:
-    """`doc[key]` of a custom model file, or InvalidSpecError naming the key."""
-    try:
-        return doc[key]
-    except KeyError:
-        raise InvalidSpecError(f"custom model file has no {key!r} entry") from None
-
-
 def _parse_model(text: str) -> dict:
     if not isinstance(text, str) or ":" not in text:
         raise InvalidSpecError(f"model must look like name:args, got {text!r}")
@@ -127,15 +122,14 @@ def _parse_model(text: str) -> dict:
     return model
 
 
-def _metric_from_doc(doc: dict) -> DistortionMetric:
-    return DistortionMetric.from_json(json.dumps(doc))
-
-
-def _binary_metric(name: str) -> BinaryMetric:
+def _binary_metric(spec: dict) -> BinaryMetric:
+    """The spec's `metric` (default hamming), in any letter case."""
+    name = spec.get("metric", "hamming")
     try:
         return BinaryMetric[str(name).strip().upper()]
-    except KeyError as exc:
-        raise InvalidSpecError(f"metric must be hamming or erasure, got {name!r}") from exc
+    except KeyError:
+        raise InvalidSpecError(
+            f"metric must be hamming or erasure, got {name!r}") from None
 
 
 def _metric_objects(kind: BinaryMetric) -> DistortionMetric:
@@ -169,20 +163,24 @@ def _sweep_values(spec: dict) -> tuple[str, list[float]]:
     lo = _number(parts[1], "sweep from")
     hi = _number(parts[2], "sweep to")
     count = _number(parts[3], "sweep count", int)
-    if count < 1:
-        raise InvalidSpecError("sweep count must be >= 1")
+    if var not in ("d1", "d2"):
+        raise InvalidSpecError(f"unsupported sweep variable {var!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidSpecError("sweep from and to must be finite")
+    if not 1 <= count <= _MAX_SWEEP_POINTS:
+        raise InvalidSpecError(f"sweep count must be in 1..{_MAX_SWEEP_POINTS}")
     return var, [float(v) for v in np.linspace(lo, hi, count)]
 
 
 def _budget_pair(spec: dict, var: str, value: float) -> DistortionPair:
     pair = {"d1": _get(spec, "d1", 0.0), "d2": _get(spec, "d2", 0.0)}
-    if var not in pair:
-        raise InvalidSpecError(f"unsupported sweep variable {var!r}")
     pair[var] = value
     return DistortionPair(**pair)
 
 
 def _solver_list(spec: dict, allowed: tuple[str, ...], default: str) -> list[str]:
+    """The spec's `solver`, with "both" meaning closed_form then grid, each
+    checked against the command's `allowed` solvers."""
     solver = str(spec.get("solver", default)).lower()
     chosen = ["closed_form", "grid"] if solver == "both" else [solver]
     for s in chosen:
@@ -192,27 +190,41 @@ def _solver_list(spec: dict, allowed: tuple[str, ...], default: str) -> list[str
     return chosen
 
 
-def _custom_source(model: dict) -> tuple[JointSource, DistortionMetric, DistortionMetric]:
-    doc = model["doc"]
-    src = JointSource.from_json(json.dumps(_field(doc, "source")))
-    m1 = _metric_from_doc(_field(doc, "metric1"))
-    m2 = _metric_from_doc(_field(doc, "metric2"))
-    return src, m1, m2
+def _erased(model: dict) -> BinaryErasureSpec:
+    """The erasure probabilities of a two-decoder binary-erased model."""
+    if "p1" not in model:
+        raise InvalidSpecError("two-decoder problems need binary-erased:p1,p2")
+    return BinaryErasureSpec(model["p1"], model["p2"])
+
+
+def _custom_entry(model: dict, key: str, parse: Callable[[str], Any]) -> Any:
+    """Entry `key` of a custom model file, read by `parse` (a `from_json`)."""
+    try:
+        entry = model["doc"][key]
+    except KeyError:
+        raise InvalidSpecError(f"custom model file has no {key!r} entry") from None
+    return parse(json.dumps(entry))
+
+
+def _source(model: dict) -> JointSource:
+    """The joint source of a two-decoder binary-erased or custom model."""
+    if model["kind"] == "binary":
+        return build_erased_source(_erased(model))
+    if model["kind"] == "custom":
+        return _custom_entry(model, "source", JointSource.from_json)
+    raise InvalidSpecError(
+        "this command needs a binary-erased:p1,p2 or custom model")
 
 
 def _finite_instance(spec: dict):
     """(source, metric1, metric2) for grid/descent solvers."""
     model = spec["model"]
+    src = _source(model)
     if model["kind"] == "binary":
-        if "p1" not in model:
-            raise InvalidSpecError("two-decoder problems need binary-erased:p1,p2")
-        bspec = BinaryErasureSpec(model["p1"], model["p2"])
-        kind = _binary_metric(spec.get("metric", "hamming"))
-        met = _metric_objects(kind)
-        return build_erased_source(bspec), met, met
-    if model["kind"] == "custom":
-        return _custom_source(model)
-    raise InvalidSpecError("finite-alphabet solver needs a binary-erased or custom model")
+        met = _metric_objects(_binary_metric(spec))
+        return src, met, met
+    return (src, _custom_entry(model, "metric1", DistortionMetric.from_json),
+            _custom_entry(model, "metric2", DistortionMetric.from_json))
 
 
 def _point_instance(spec: dict) -> tuple[FinitePmf, DistortionMetric]:
@@ -220,11 +232,10 @@ def _point_instance(spec: dict) -> tuple[FinitePmf, DistortionMetric]:
     model = spec["model"]
     if model["kind"] == "binary":
         pmf = _erased_pair_pmf(model.get("p", model.get("p1")))
-        return pmf, _metric_objects(_binary_metric(spec.get("metric", "hamming")))
+        return pmf, _metric_objects(_binary_metric(spec))
     if model["kind"] == "custom":
-        doc = model["doc"]
-        pmf = FinitePmf.from_json(json.dumps(_field(doc, "pair_pmf")))
-        return pmf, _metric_from_doc(_field(doc, "metric"))
+        return (_custom_entry(model, "pair_pmf", FinitePmf.from_json),
+                _custom_entry(model, "metric", DistortionMetric.from_json))
     raise InvalidSpecError("point-to-point solver needs a finite-alphabet model")
 
 
@@ -233,32 +244,44 @@ def _binary_seed_channel(spec: dict, pair: DistortionPair) -> TestChannel | None
     metric, d2 <= d1 <= 1/2); None otherwise."""
     model = spec["model"]
     if model["kind"] == "binary" and pair.d2 <= pair.d1 <= 0.5 \
-            and spec.get("metric", "hamming") == "hamming":
-        return binary_hb_test_channel(pair, BinaryErasureSpec(model["p1"], model["p2"]))
+            and _binary_metric(spec) is BinaryMetric.HAMMING:
+        return binary_hb_test_channel(pair, _erased(model))
     return None
 
 
-def run_point_cr(spec: dict) -> dict:
+def _closed_form(spec: dict, kind: str, budget: Any) -> Any:
+    """The paper's closed form for the spec's model: the point-to-point CR
+    rate at d1 = `budget` ("point"), or at the pair `budget` the HB CR
+    `RegionRate` ("hb") or the cascade corner (r1, r2) ("cascade")."""
     model = spec["model"]
+    if model["kind"] == "gaussian":
+        if kind == "point":
+            return rcr_point_gaussian(budget, model["sigma_x2"], model["n1"] + model["n2"])
+        gspec = GaussianSpec(model["sigma_x2"], model["n1"], model["n2"])
+        if kind == "hb":
+            return rhb_cr_gaussian(budget, gspec)
+        return cascade_region_gaussian(budget, gspec)
+    if model["kind"] == "binary":
+        if kind == "point":
+            return rcr_point_binary(budget, model.get("p", model.get("p1")),
+                                    _binary_metric(spec))
+        if kind == "hb":
+            return rhb_cr_binary(budget, _erased(model), _binary_metric(spec))
+        return cascade_region_binary(budget, _erased(model))
+    raise InvalidSpecError("closed form needs a gaussian or binary-erased model")
+
+
+def run_point_cr(spec: dict) -> dict:
     var, values = _sweep_values(spec)
     if var != "d1":
         raise InvalidSpecError("point-cr sweeps d1 only")
-    allowed = ("closed_form", "grid")
     rows = []
-    solvers = _solver_list(spec, allowed, "closed_form")
+    solvers = _solver_list(spec, ("closed_form", "grid"), "closed_form")
     step = _get(spec, "step", 0.01)
     for value in values:
         for solver in solvers:
             if solver == "closed_form":
-                if model["kind"] == "gaussian":
-                    rate = rcr_point_gaussian(value, model["sigma_x2"],
-                                              model["n1"] + model["n2"])
-                elif model["kind"] == "binary":
-                    p = model.get("p", model.get("p1"))
-                    rate = rcr_point_binary(value, p,
-                                            _binary_metric(spec.get("metric", "hamming")))
-                else:
-                    raise InvalidSpecError("closed form needs gaussian or binary model")
+                rate = _closed_form(spec, "point", value)
             else:
                 pmf, met = _point_instance(spec)
                 rate = grid_oracle_point_cr(pmf, met, value, step)
@@ -267,7 +290,6 @@ def run_point_cr(spec: dict) -> dict:
 
 
 def run_hb_cr(spec: dict) -> dict:
-    model = spec["model"]
     var, values = _sweep_values(spec)
     solvers = _solver_list(spec, ("closed_form", "grid", "descent"), "closed_form")
     step = _get(spec, "step", 0.02)
@@ -279,15 +301,7 @@ def run_hb_cr(spec: dict) -> dict:
         for solver in solvers:
             flag = ""
             if solver == "closed_form":
-                if model["kind"] == "gaussian":
-                    gspec = GaussianSpec(model["sigma_x2"], model["n1"], model["n2"])
-                    rate, label = rhb_cr_gaussian(pair, gspec)
-                elif model["kind"] == "binary" and "p1" in model:
-                    bspec = BinaryErasureSpec(model["p1"], model["p2"])
-                    rate, label = rhb_cr_binary(
-                        pair, bspec, _binary_metric(spec.get("metric", "hamming")))
-                else:
-                    raise InvalidSpecError("closed form needs gaussian or binary-erased model")
+                rate, label = _closed_form(spec, "hb", pair)
                 flag = label.value
             else:
                 src, m1, m2 = _finite_instance(spec)
@@ -301,17 +315,16 @@ def run_hb_cr(spec: dict) -> dict:
     return _doc("hb-cr", spec, _SCALAR_COLUMNS, rows)
 
 
-def _region_rows(region, solver: str) -> list[list]:
-    rows = []
-    for i, p in enumerate(region.points):
-        rows.append(["boundary", float(i), p.r1, p.r2, solver, "", p.provenance])
-    return rows
+def _boundary_rows(region, solver: str, provenance: str = "") -> list[list]:
+    """One row per boundary point, tagged `provenance` or else the point's own."""
+    return [["boundary", float(i), p.r1, p.r2, solver, "", provenance or p.provenance]
+            for i, p in enumerate(region.points)]
 
 
-def _sampler_config(spec: dict) -> SamplerConfig:
-    method = "grid" if str(spec.get("solver", "grid")).lower() == "grid" else "scalarize"
+def _sampler_config(spec: dict, solver: str) -> SamplerConfig:
+    """Sampler knobs for a validated `solver`: grid, or descent (scalarize)."""
     return SamplerConfig(
-        method=method,
+        method="grid" if solver == "grid" else "scalarize",
         step=_get(spec, "step", 0.1),
         n_weights=_get(spec, "weights", 11, int),
         restarts=_get(spec, "restarts", 4, int),
@@ -338,7 +351,8 @@ def run_coop_cr(spec: dict) -> dict:
         else:
             raise InvalidSpecError("source satisfies neither Markov chain; pass --chain")
     var, values = _sweep_values(spec)
-    cfg = _sampler_config(spec)
+    [solver] = _solver_list(spec, ("grid", "descent"), "grid")
+    cfg = _sampler_config(spec, solver)
     rows = []
     meta: dict[str, Any] = {}
     for value in values:
@@ -348,7 +362,7 @@ def run_coop_cr(spec: dict) -> dict:
         else:
             region = coop_region_xy2y1(src, m1, m2, pair, cfg)
             meta["unbounded"] = list(region.unbounded)
-        rows.extend(_region_rows(region, cfg.method))
+        rows.extend(_boundary_rows(region, cfg.method))
     doc = _doc("coop-cr", spec, _REGION_COLUMNS, rows)
     doc["meta"].update(meta)
     doc["meta"]["chain"] = chain
@@ -356,7 +370,6 @@ def run_coop_cr(spec: dict) -> dict:
 
 
 def run_cascade_cr(spec: dict) -> dict:
-    model = spec["model"]
     var, values = _sweep_values(spec)
     solvers = _solver_list(spec, ("closed_form", "grid", "descent"), "closed_form")
     given_chain = _chain(spec)
@@ -366,25 +379,17 @@ def run_cascade_cr(spec: dict) -> dict:
         pair = _budget_pair(spec, var, value)
         for solver in solvers:
             if solver == "closed_form":
-                if model["kind"] == "gaussian":
-                    gspec = GaussianSpec(model["sigma_x2"], model["n1"], model["n2"])
-                    r1, r2 = cascade_region_gaussian(pair, gspec)
-                    meta["inner_outer"] = "coincident"
-                elif model["kind"] == "binary" and "p1" in model:
-                    bspec = BinaryErasureSpec(model["p1"], model["p2"])
-                    r1, r2 = cascade_region_binary(pair, bspec)
-                    meta["inner_outer"] = "coincident"
-                else:
-                    raise InvalidSpecError("closed form needs gaussian or binary-erased model")
+                r1, r2 = _closed_form(spec, "cascade", pair)
+                meta["inner_outer"] = "coincident"
                 rows.append(["corner", value, r1, r2, solver, "", "outer-corner"])
             else:
                 src, m1, m2 = _finite_instance(spec)
-                cfg = _sampler_config(spec)
+                cfg = _sampler_config(spec, solver)
                 chain = given_chain or ("x-y2-y1" if check_markov_chain(src, "x-y2-y1")
                                         else "x-y1-y2")
                 if chain == "x-y1-y2":
                     region = cascade_region_xy1y2(src, m1, m2, pair, cfg)
-                    rows.extend(_region_rows(region, solver))
+                    rows.extend(_boundary_rows(region, solver))
                 else:
                     init = _binary_seed_channel(spec, pair)
                     cfg = dataclasses.replace(
@@ -392,8 +397,7 @@ def run_cascade_cr(spec: dict) -> dict:
                     bounds = cascade_bounds_xy2y1(src, m1, m2, pair, cfg)
                     oc = bounds.outer.points[0]
                     rows.append(["corner", value, oc.r1, oc.r2, solver, "", "outer-corner"])
-                    rows.extend([["boundary", float(i), p.r1, p.r2, solver, "", "inner"]
-                                 for i, p in enumerate(bounds.inner.points)])
+                    rows.extend(_boundary_rows(bounds.inner, solver, "inner"))
                     meta["gap_bits"] = bounds.gap
     doc = _doc("cascade-cr", spec, _REGION_COLUMNS, rows)
     doc["meta"].update(meta)
@@ -412,7 +416,6 @@ def run_conr(spec: dict) -> dict:
                           DistortionMetric.hamming(m2.n_outputs))
     exact_caps = (src.nx + 4, (src.nx + 2) ** 2)
     rows = []
-    heuristic_seen = False
     for value in values:
         pair = _budget_pair(spec, var, value)
         res = brute_force_conr(src, m1, m2, pair, conr, u_caps=caps, step=step,
@@ -422,7 +425,6 @@ def run_conr(spec: dict) -> dict:
             flags.append("heuristic")
         if caps[0] < exact_caps[0] or caps[1] < exact_caps[1]:
             flags.append("caps_reduced")
-        heuristic_seen = heuristic_seen or res.heuristic
         rows.append([var, value, res.rate, "brute_force", ",".join(flags)])
     doc = _doc("conr", spec, _SCALAR_COLUMNS, rows)
     doc["meta"]["u_caps"] = list(caps)
@@ -461,14 +463,7 @@ def run_wz(spec: dict) -> dict:
 
 
 def run_degradedness(spec: dict) -> dict:
-    model = spec["model"]
-    if model["kind"] == "binary" and "p1" in model:
-        src = build_erased_source(BinaryErasureSpec(model["p1"], model["p2"]))
-    elif model["kind"] == "custom":
-        src = JointSource.from_json(json.dumps(_field(model["doc"], "source")))
-    else:
-        raise InvalidSpecError("degradedness needs a binary-erased or custom model")
-    res = check_stochastic_degradedness(src)
+    res = check_stochastic_degradedness(_source(spec["model"]))
     rows = [["verdict", 1.0 if res.feasible else 0.0, res.violation,
              "linear_program", "feasible" if res.feasible else "infeasible"]]
     doc = _doc("degradedness", spec, _SCALAR_COLUMNS, rows)
@@ -571,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--de1", type=float)
         p.add_argument("--de2", type=float)
         p.add_argument("--sweep", help="var:from:to:count")
-        p.add_argument("--solver", help="closed_form | grid | descent | both")
+        p.add_argument("--solver", help="closed_form | grid | descent | both (per subcommand)")
         p.add_argument("--metric", help="hamming | erasure")
         p.add_argument("--chain", help="x-y1-y2 | x-y2-y1")
         p.add_argument("--step", type=float)
@@ -585,7 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--guard", type=int)
         p.add_argument("--id", type=int, help="figure id (6 or 8)")
         p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", help="csv | json")
     return parser
 
 
@@ -597,30 +592,30 @@ def _resolve_spec(ns: argparse.Namespace) -> dict:
         if not isinstance(doc, dict):
             raise InvalidSpecError("spec file must hold a JSON object")
         spec.update(doc)
-    for key in ("model", "d1", "d2", "de1", "de2", "sweep", "solver", "metric",
-                "chain", "step", "restarts", "weights", "seed", "u_cap",
-                "u1_cap", "u2_cap", "map_budget", "guard", "id", "format"):
-        val = getattr(ns, key, None)
-        if val is not None:
-            spec[key] = val
+    spec.update((key, val) for key, val in vars(ns).items()
+                if key not in ("command", "spec", "out") and val is not None)
     if "model" in spec:
         spec["model"] = _parse_model(spec["model"])
     return spec
 
 
+def _emitter(spec: dict) -> Callable[[dict, str | None], None]:
+    """The writer for the spec's `format` (default csv)."""
+    fmt = spec.get("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise InvalidSpecError(f"format must be csv or json, got {fmt!r}")
+    return emit_csv if fmt == "csv" else emit_json
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
         spec = _resolve_spec(ns)
+        emit = _emitter(spec)
         t0 = time.time()
         doc = run_command(ns.command, spec)
         wall = time.time() - t0
-        fmt = spec.get("format") or "csv"
-        if fmt == "csv":
-            emit_csv(doc, ns.out)
-        else:
-            emit_json(doc, ns.out)
+        emit(doc, ns.out)
         print(f"crrd {ns.command}: {len(doc['rows'])} rows in {wall:.2f}s",
               file=sys.stderr)
         return 0

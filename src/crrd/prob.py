@@ -98,18 +98,6 @@ class FinitePmf:
     def ndim(self) -> int:
         return self.mass.ndim
 
-    def marginal(self, axes: Sequence[int]) -> "FinitePmf":
-        """Marginal pmf on `axes`, in the order given."""
-        axes = list(axes)
-        keep = sorted(set(axes))
-        if len(keep) != len(axes) or any(a < 0 or a >= self.ndim for a in axes):
-            raise InvalidSpecError(f"bad axis list {axes} for {self.ndim} axes")
-        drop = tuple(i for i in range(self.ndim) if i not in keep)
-        m = self.mass.sum(axis=drop) if drop else self.mass
-        # present axes in caller order
-        m = np.moveaxis(m, [keep.index(a) for a in axes], range(len(axes)))
-        return FinitePmf(m)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FinitePmf) and self.mass.shape == other.mass.shape \
             and np.array_equal(self.mass, other.mass)
@@ -276,10 +264,6 @@ class DistortionMetric:
     @property
     def n_outputs(self) -> int:
         return self.matrix.shape[1]
-
-    def allowed(self, x: int) -> np.ndarray:
-        """Boolean mask of reconstruction symbols usable for source symbol x."""
-        return np.isfinite(self.matrix[x])
 
     @classmethod
     def hamming(cls, n: int, n_out: int | None = None) -> "DistortionMetric":

@@ -119,6 +119,22 @@ class SamplerConfig:
             raise InvalidSpecError(f"n_weights must be >= 1, got {self.n_weights}")
 
 
+def _first_seed(config: SamplerConfig) -> TestChannel | None:
+    """The seed channel that starts each descent, if the config has one."""
+    return config.seed_channels[0] if config.seed_channels else None
+
+
+def _broadcast_min(source: JointSource, metric1: DistortionMetric,
+                   metric2: DistortionMetric, pair: DistortionPair,
+                   config: SamplerConfig) -> float:
+    """The broadcast CR minimum at `pair`: the grid oracle in grid mode,
+    seeded multistart descent otherwise."""
+    if config.method == "grid":
+        return grid_oracle_hb_cr(source, metric1, metric2, pair, config.step)[0]
+    return descent_hb_cr(source, metric1, metric2, pair, restarts=config.restarts,
+                         seed=config.seed, init=_first_seed(config)).rate
+
+
 def _channel_sweep(source: JointSource, metric1: DistortionMetric,
                    metric2: DistortionMetric, pair: DistortionPair,
                    config: SamplerConfig,
@@ -143,10 +159,10 @@ def _channel_sweep(source: JointSource, metric1: DistortionMetric,
                 source, metric1, metric2, pair, config.step, guard=SWEEP_GUARD):
             yield bounds(batch, f"grid(step={config.step})")
         return
+    init = _first_seed(config)
     for i in range(config.n_weights):
         lam = i / (config.n_weights - 1) if config.n_weights > 1 else 0.5
         weights = [lam] * len(terms_a) + [1.0 - lam] * len(terms_b)
-        init = config.seed_channels[0] if config.seed_channels else None
         res = descent_weighted(source, metric1, metric2, pair, terms_a + terms_b,
                                weights, restarts=config.restarts,
                                seed=config.seed + i, init=init)
@@ -185,13 +201,7 @@ def coop_region_xy2y1(source: JointSource, metric1: DistortionMetric,
     """
     if not check_markov_chain(source, ("x", "y2", "y1")):
         raise InvalidSpecError("cooperative region in this direction needs X - Y2 - Y1")
-    if config.method == "grid":
-        rho, _ = grid_oracle_hb_cr(source, metric1, metric2, pair, config.step)
-    else:
-        init = config.seed_channels[0] if config.seed_channels else None
-        rho = descent_hb_cr(source, metric1, metric2, pair,
-                            restarts=config.restarts, seed=config.seed,
-                            init=init).rate
+    rho = _broadcast_min(source, metric1, metric2, pair, config)
     return RateRegion(points=(RatePoint(rho, 0.0, "broadcast-min"),),
                       unbounded=("r2",))
 
@@ -239,13 +249,7 @@ def cascade_bounds_xy2y1(source: JointSource, metric1: DistortionMetric,
     """
     if not check_markov_chain(source, ("x", "y2", "y1")):
         raise InvalidSpecError("cascade bounds in this direction need X - Y2 - Y1")
-    if config.method == "grid":
-        r1c, _ = grid_oracle_hb_cr(source, metric1, metric2, pair, config.step)
-    else:
-        init = config.seed_channels[0] if config.seed_channels else None
-        r1c = descent_hb_cr(source, metric1, metric2, pair,
-                            restarts=config.restarts, seed=config.seed,
-                            init=init).rate
+    r1c = _broadcast_min(source, metric1, metric2, pair, config)
     # the corner minimizations prune by budget feasibility, so the point
     # oracle takes the two-decoder oracle's wider product-grid guard
     pair_xy2 = FinitePmf(source.xy2_marginal())

@@ -133,13 +133,22 @@ class TestExitCodes:
         ["hb-nocr", "--spec", "{bool_budget}"],
         ["wz", "--spec", "{bool_step}"],
         ["hb-cr", "--spec", "{huge_restarts}"],
+        ["hb-cr", "--spec", "{xml_format}"],
+        ["hb-cr", "--spec", "{list_sweep_var}"],
+        ["hb-cr", "--model", "gaussian:4,2,3", "--d2", "1", "--sweep", "d1:1:2:10000000000000"],
+        ["point-cr", "--model", "gaussian:4,2,3", "--sweep", "d1:nan:1:2"],
+        *[["coop-cr", "--model", "binary-erased:1,0.35", "--d1", ".3", "--d2", ".3",
+           "--solver", solver, "--step", ".25", "--weights", "1", "--restarts", "0"]
+          for solver in ("closed_form", "both", "banana")],
     ], ids=["sweep-number", "binary-number", "gaussian-number", "custom-key",
             "spec-number", "source-key", "source-length", "metric-length",
             "pair-pmf-key", "spec-not-object", "spec-int-overflow", "metric-type",
             "negative-seed", "nan-point-budget", "nan-wz-budget", "nan-conr-budget",
             "labels-type", "coop-chain", "cascade-chain", "zero-weights",
             "figure-float-id", "figure-bool-id", "float-cap", "bool-budget", "bool-step",
-            "huge-restarts"])
+            "huge-restarts", "spec-format", "sweep-var-type", "sweep-huge-count",
+            "sweep-nan-from", "coop-closed-form", "coop-both",
+            "coop-banana"])
     def test_malformed_spec_exits_2(self, argv, tmp_path, capsys):
         src = json.loads(crrd.build_erased_source(crrd.BinaryErasureSpec(0.5, 0.35)).to_json())
         ham = json.loads(crrd.DistortionMetric.hamming(2).to_json())
@@ -164,6 +173,9 @@ class TestExitCodes:
             "bool_step": {"model": "binary-erased:0.35", "d1": 0.1, "step": True},
             "huge_restarts": {"model": "binary-erased:1,0.35", "d1": 0.1, "d2": 0.05,
                               "solver": "descent", "restarts": 1e300},
+            "xml_format": {"model": "gaussian:4,2,3", "d1": 1.0, "d2": 0.5, "format": "xml"},
+            "list_sweep_var": {"model": "gaussian:4,2,3", "d2": 1.0,
+                               "sweep": {"var": [], "from": 0, "to": 1, "count": 2}},
         }
         paths = {}
         for name, doc in files.items():
@@ -217,7 +229,9 @@ _SPEC_FIELDS = {
     "sweep": st.sampled_from([
         "d1:0:0.3:2", "d2:0.05:0.2:3", "d1:a:0.2:3", "rate:0:1:2", "d1:0:1:0",
         "d1:0:1", {"var": "d2", "from": 0.1, "to": 0.3, "count": 2},
-        {"var": "d1"}, {"var": "d1", "from": 0, "to": 1, "count": "x"}, 7, ""]),
+        {"var": "d1"}, {"var": "d1", "from": 0, "to": 1, "count": "x"}, 7, "",
+        {"var": [], "from": 0, "to": 1, "count": 2}, "d1:1:2:10000000000000",
+        "d1:0:inf:2", {"var": "d2", "from": float("nan"), "to": 0.2, "count": 2}]),
     "restarts": st.integers(min_value=0, max_value=2) | _BAD,
     "seed": st.integers(min_value=0, max_value=5) | _BAD,
     "u_cap": st.integers(min_value=0, max_value=3) | _BAD,
@@ -238,17 +252,21 @@ _SPECS = st.fixed_dictionaries(
     optional={k: v for k, v in _SPEC_FIELDS.items() if k not in _SPEC_REQUIRED})
 
 
-# Region commands run the grid solver only, at steps whose grids are tiny.
-# A valid base spec with drawn overrides, so that many draws run a sampler.
+# Region commands run at steps whose grids are tiny, with at most one descent
+# restart and three weights.  A valid base spec with drawn overrides, so that
+# many draws run a sampler.
 _REGION_BASE = st.fixed_dictionaries({
     "model": st.sampled_from(["binary-erased:1,0.35", "binary-erased:0.5,0.35"]),
     "d1": st.floats(min_value=0.0, max_value=0.6),
     "d2": st.floats(min_value=0.0, max_value=0.6),
     "step": st.sampled_from([0.25, 0.5]),
-    "solver": st.just("grid"),
+    "solver": st.sampled_from(["grid", "descent", "both", "closed_form", "banana"]),
+    "restarts": st.integers(min_value=0, max_value=1),
+    "weights": st.integers(min_value=1, max_value=3),
 })
 _REGION_SPECS = st.tuples(_REGION_BASE, st.fixed_dictionaries({}, optional={
-    **{k: v for k, v in _SPEC_FIELDS.items() if k != "solver"},
+    **{k: v for k, v in _SPEC_FIELDS.items() if k not in ("solver", "restarts")},
+    "restarts": st.integers(min_value=0, max_value=1) | _BAD,
     "chain": st.sampled_from(["x-y1-y2", "x-y2-y1", "X-Y2-Y1", "foo", ""]) | _BAD,
     "weights": st.integers(min_value=-1, max_value=3) | _BAD,
 })).map(lambda specs: {**specs[0], **specs[1]})
@@ -340,6 +358,14 @@ class TestDeterminism:
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
 
+    def test_metric_name_case_keeps_seed_channel(self, capsys):
+        args = ["hb-cr", "--model", "binary-erased:1,0.35", "--d1", "0.1",
+                "--d2", "0.05", "--solver", "descent", "--restarts", "0",
+                "--seed", "3", "--format", "json"]
+        rows = [json.loads(run_cli(args + ["--metric", name], capsys)[1])["rows"]
+                for name in ("hamming", "HAMMING")]
+        assert rows[0] == rows[1]
+
 
 class TestRegionsViaCli:
     def test_coop_half_plane(self, capsys):
@@ -351,6 +377,24 @@ class TestRegionsViaCli:
         assert doc["meta"]["chain"] == "x-y2-y1"
         assert doc["meta"]["unbounded"] == ["r2"]
         assert doc["rows"][0][2] == pytest.approx(0.5949139291763825, abs=5e-3)
+
+    def test_coop_descent_rows_say_scalarize(self, capsys):
+        rc, out, _ = run_cli(["coop-cr", "--model", "binary-erased:1,0.35",
+                              "--d1", "0.1", "--d2", "0.05", "--solver", "descent",
+                              "--restarts", "1"], capsys)
+        assert rc == 0
+        row = out.strip().split("\n")[1].split(",")
+        assert row[4] == "scalarize"
+        assert float(row[2]) == pytest.approx(0.5949139291763825, abs=5e-3)
+
+    def test_cascade_both_grid_rows_come_from_grid_sampler(self, capsys):
+        args = ["cascade-cr", "--model", "binary-erased:1,0.35", "--d1", "0.1",
+                "--d2", "0.05", "--step", "0.1", "--weights", "3", "--restarts", "1",
+                "--format", "json"]
+        both = json.loads(run_cli(args + ["--solver", "both"], capsys)[1])["rows"]
+        grid = json.loads(run_cli(args + ["--solver", "grid"], capsys)[1])["rows"]
+        assert both[0][4] == "closed_form"
+        assert grid and both[1:] == grid
 
     def test_cascade_closed_corner(self, capsys):
         rc, out, _ = run_cli(["cascade-cr", "--model", "binary-erased:1,0.35",
