@@ -9,13 +9,13 @@ auxiliary-variable solvers) so each side can certify the other.
 
 from .bruteforce import ConRResult, brute_force_conr, brute_force_hb_nocr, \
     brute_force_wz
-from .channels import ConRConstraint, TestChannel, compose_joint, eval_distortions, \
-    eval_hb_cr_alt_objective, eval_hb_cr_objective
+from .channels import ChannelPolytope, ConRConstraint, TestChannel, compose_joint, \
+    eval_distortions, eval_hb_cr_alt_objective, eval_hb_cr_objective
 from .closed_form import BinaryMetric, DistortionPair, RegionLabel, RegionRate, \
     binary_hb_test_channel, cascade_region_binary, cascade_region_gaussian, \
     gaussian_hb_test_channel_params, rcr_point_binary, rcr_point_gaussian, \
     rhb_cr_binary, rhb_cr_gaussian
-from .descent import DescentResult, descent_hb_cr, descent_weighted, feasible_channel
+from .descent import DescentResult, descent_hb_cr, descent_weighted
 from .errors import CrrdError, GuardExceededError, InfeasibleBudgetError, \
     InvalidSpecError, ShapeMismatchError
 from .gridsearch import grid_oracle_hb_cr, grid_oracle_point_cr, simplex_grid
@@ -35,6 +35,7 @@ __all__ = [
     "BinaryErasureSpec",
     "BinaryMetric",
     "CascadeBounds",
+    "ChannelPolytope",
     "ConRConstraint",
     "ConRResult",
     "CrrdError",
@@ -79,7 +80,6 @@ __all__ = [
     "eval_distortions",
     "eval_hb_cr_alt_objective",
     "eval_hb_cr_objective",
-    "feasible_channel",
     "gaussian_hb_test_channel_params",
     "grid_oracle_hb_cr",
     "grid_oracle_point_cr",

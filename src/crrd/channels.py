@@ -1,13 +1,16 @@
-"""Test channels, the constrained-reconstruction budget, and objective
-evaluators.
+"""Test channels, their budget polytope, the constrained-reconstruction
+budget, and objective evaluators.
 
 A test channel p(xhat1, xhat2 | x) is the optimization variable of the
-common-reconstruction formulas.
+common-reconstruction formulas, and `ChannelPolytope` is the set every
+solver searches.  `eval_distortions` and `TestChannel.validate_support`
+do not use the polytope: they are the independent re-check of a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -17,6 +20,7 @@ from .prob import DistortionMetric, FinitePmf, JointSource, check_budget, \
 
 __all__ = [
     "TestChannel",
+    "ChannelPolytope",
     "ConRConstraint",
     "compose_joint",
     "eval_hb_cr_objective",
@@ -81,6 +85,44 @@ class TestChannel:
 
     def __repr__(self) -> str:
         return f"TestChannel(|X|={self.nx}, {self.m1}x{self.m2})"
+
+
+class ChannelPolytope:
+    """Test channels p(xh1, xh2 | x) meeting linear budgets E[d_j] <= D_j.
+
+    Every CR rate is a minimum over this set: the broadcast rate with two
+    metrics, the point-to-point rate with one.  A channel's x-slice is
+    flattened xh1-major, so cell a * m2 + b is (xh1 = a, xh2 = b); one
+    metric gives the layout (|X|, m, 1).
+
+    `shape` is (|X|, m1, m2); `allowed` (|X|, m1 * m2) flags the cells that
+    no metric forbids; `costs` (n_budgets, |X|, m1 * m2) holds each cell's
+    p(x)-weighted distortion (0 on forbidden cells), so a channel q costs
+    sum_x costs[j, x] @ q[x].ravel() on budget j; `budgets` are the D_j.
+    """
+
+    __slots__ = ("shape", "allowed", "costs", "budgets")
+
+    def __init__(self, px, metrics: Sequence[DistortionMetric],
+                 budgets: Sequence[float]):
+        px = np.asarray(px, dtype=np.float64)
+        if len(metrics) not in (1, 2) or len(budgets) != len(metrics):
+            raise InvalidSpecError("a channel polytope takes one or two metrics, "
+                                   "one budget each")
+        for j, (metric, budget) in enumerate(zip(metrics, budgets)):
+            check_budget(f"d{j + 1}", budget)
+            if metric.n_inputs != px.size:
+                raise ShapeMismatchError("metric rows must equal |X|")
+        m1 = metrics[0].n_outputs
+        m2 = metrics[1].n_outputs if len(metrics) == 2 else 1
+        self.shape = (px.size, m1, m2)
+        full = [np.repeat(metrics[0].matrix, m2, axis=1)]
+        if len(metrics) == 2:
+            full.append(np.tile(metrics[1].matrix, (1, m1)))
+        finite = np.isfinite(full)
+        self.allowed = finite.all(axis=0)
+        self.costs = px[:, None] * np.where(finite, full, 0.0)
+        self.budgets = np.array(budgets, dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -267,7 +267,7 @@ def _closed_form(spec: dict, kind: str, budget: Any) -> Any:
                                     _binary_metric(spec))
         if kind == "hb":
             return rhb_cr_binary(budget, _erased(model), _binary_metric(spec))
-        return cascade_region_binary(budget, _erased(model))
+        return cascade_region_binary(budget, _erased(model), _binary_metric(spec))
     raise InvalidSpecError("closed form needs a gaussian or binary-erased model")
 
 

@@ -184,11 +184,13 @@ def cascade_region_gaussian(pair: DistortionPair,
     return (r1, r2)
 
 
-def cascade_region_binary(pair: DistortionPair,
-                          spec: BinaryErasureSpec) -> tuple[float, float]:
-    """Two-hop rate thresholds for the erased binary model, Hamming metric."""
-    r1 = rhb_cr_binary(pair, spec, BinaryMetric.HAMMING).rate
-    r2 = rcr_point_binary(pair.d2, spec.p2, BinaryMetric.HAMMING)
+def cascade_region_binary(pair: DistortionPair, spec: BinaryErasureSpec,
+                          metric: BinaryMetric) -> tuple[float, float]:
+    """Two-hop rate thresholds (r1_min, r2_min) for the erased binary model
+    under `metric`: the broadcast rate on the first hop, the
+    point-to-point rate toward the final decoder on the second."""
+    r1 = rhb_cr_binary(pair, spec, metric).rate
+    r2 = rcr_point_binary(pair.d2, spec.p2, metric)
     return (r1, r2)
 
 

@@ -1,11 +1,12 @@
 """Multistart projected local descent over test channels.
 
-The feasible set is the product of per-source-symbol simplices (with
-forbidden reconstruction pairs pinned at zero) intersected with the two
-linear distortion half-spaces.  Projection onto that intersection is
-computed with Dykstra's alternating-projection scheme, which converges to
-the exact Euclidean projection for closed convex sets; the stopping
-tolerance is 1e-10.  Inputs that have not settled after the cycle budget
+The feasible set is the `channels.ChannelPolytope` of the two budgets:
+the product of per-source-symbol simplices over the polytope's allowed
+cells (forbidden reconstruction pairs stay at zero) intersected with one
+linear distortion half-space per row of its `costs`.  Projection onto
+that intersection is computed with Dykstra's alternating-projection
+scheme, which converges to the exact Euclidean projection for closed
+convex sets; the stopping tolerance is 1e-10.  Inputs that have not settled after the cycle budget
 fall back to plain alternating projection, which can end outside the
 budgets: only the simplex constraints are guaranteed on every output.
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .channels import TestChannel
+from .channels import ChannelPolytope, TestChannel
 from .closed_form import DistortionPair
 from .errors import InfeasibleBudgetError, InvalidSpecError
 from .gridsearch import BATCH
@@ -45,7 +46,6 @@ from .prob import DistortionMetric, JointSource
 
 __all__ = [
     "DescentResult",
-    "feasible_channel",
     "descent_weighted",
     "descent_hb_cr",
 ]
@@ -67,13 +67,10 @@ class _Feasible:
 
     def __init__(self, source: JointSource, metric1: DistortionMetric,
                  metric2: DistortionMetric, pair: DistortionPair):
-        nx = source.nx
-        m1, m2 = metric1.n_outputs, metric2.n_outputs
-        self.shape = (nx, m1, m2)
-        px = source.x_marginal()
-        allowed = (np.isfinite(metric1.matrix)[:, :, None]
-                   & np.isfinite(metric2.matrix)[:, None, :])
-        self.support = [np.flatnonzero(allowed[x].reshape(-1)) for x in range(nx)]
+        poly = ChannelPolytope(source.x_marginal(), (metric1, metric2),
+                               (pair.d1, pair.d2))
+        nx, m1, m2 = self.shape = poly.shape
+        self.support = [np.flatnonzero(a) for a in poly.allowed]
         #: position of every flattened coordinate in q.reshape(-1)
         self.cells = np.concatenate(
             [x * m1 * m2 + s for x, s in enumerate(self.support)])
@@ -83,14 +80,11 @@ class _Feasible:
         #: (k, n) columns of the k slices with n allowed cells, per size n
         self.slice_groups = [np.stack([slices[x] for x in np.flatnonzero(sizes == n)])
                              for n in np.unique(sizes)]
-        d1 = np.where(np.isfinite(metric1.matrix), metric1.matrix, 0.0)
-        d2 = np.where(np.isfinite(metric2.matrix), metric2.matrix, 0.0)
-        w1 = np.concatenate([
-            px[x] * np.repeat(d1[x], m2)[self.support[x]] for x in range(nx)])
-        w2 = np.concatenate([
-            px[x] * np.tile(d2[x], m1)[self.support[x]] for x in range(nx)])
-        self.halfspaces = [(w1, pair.d1, float(w1 @ w1)),
-                           (w2, pair.d2, float(w2 @ w2))]
+        # one contiguous weight vector per budget: np.vecdot on a strided
+        # row would change the bits of the projections
+        weights = [c.reshape(-1)[self.cells] for c in poly.costs]
+        self.halfspaces = [(w, float(b), float(w @ w))
+                           for w, b in zip(weights, poly.budgets)]
         self.cycles = 0
 
     def flatten(self, q: np.ndarray) -> np.ndarray:
@@ -327,14 +321,6 @@ def descent_weighted(source: JointSource, metric1: DistortionMetric,
     return DescentResult(rate=max(0.0, best_val), witness=witness,
                          restarts=restarts, best_start=best_start,
                          rounds=rounds, cycles=feas.cycles - start_cycles)
-
-
-def feasible_channel(source: JointSource, metric1: DistortionMetric,
-                     metric2: DistortionMetric, pair: DistortionPair,
-                     ) -> TestChannel:
-    """Any channel meeting the budgets, via the LP pre-solve."""
-    feas = _Feasible(source, metric1, metric2, pair)
-    return TestChannel(feas.unflatten(feas.project(feas.feasible_start()[None])[0]))
 
 
 def descent_hb_cr(source: JointSource, metric1: DistortionMetric,

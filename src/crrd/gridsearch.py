@@ -8,6 +8,12 @@ converges as the step shrinks (the feasible set is a polytope and the
 objective is continuous), and it is independent of any closed form, which
 is what makes it usable as a cross-check.
 
+The channels searched are the grid points of a `channels.ChannelPolytope`,
+which alone knows the cell layout, the forbidden cells and the budget
+weights.  Both public oracles run one body, `_oracle`: the point-to-point
+oracle is the one-metric polytope, laid out as a broadcast channel whose
+second reconstruction has a single symbol.
+
 Each slice's grid is `simplex_grid`, a stars-and-bars enumeration without
 recursion whose rows come out in lexicographic order.  One oracle call
 builds each grid once per distinct cell count, and slices with the same
@@ -37,16 +43,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .channels import TestChannel
+from .channels import ChannelPolytope, TestChannel
 from .closed_form import DistortionPair
-from .errors import GuardExceededError, InfeasibleBudgetError, InvalidSpecError, \
-    ShapeMismatchError
-from .measures import HB_CR_TERMS, POINT_TERMS, GridTerms, entropy_rows
-from .prob import DistortionMetric, FinitePmf, JointSource, check_budget
+from .errors import GuardExceededError, InfeasibleBudgetError, InvalidSpecError
+from .measures import HB_CR_TERMS, POINT_TERMS, GridTerms, MITerm, entropy_rows
+from .prob import DistortionMetric, FinitePmf, JointSource
 
 __all__ = [
     "simplex_grid",
@@ -137,21 +142,25 @@ class _Slice:
     h_row: np.ndarray        # (N,) entropy of the row
 
 
-def _build_slices(grids: _Grids, allowed: Sequence[np.ndarray], n_full: int,
-                  cost_full: list[list[np.ndarray]]) -> list[_Slice]:
-    """One slice per source symbol x, on the cells `allowed[x]` flags.
+def _build_slices(poly: ChannelPolytope, grids: _Grids, guard: int) -> list[_Slice]:
+    """One slice per source symbol x, on the cells `poly.allowed[x]` flags.
 
-    cost_full[j][x] is the p(x)-weighted distortion vector of budget j on
-    the full cell space for slice x.  Slices with the same allowed cells
-    share one padded row array and one row-entropy vector; with every cell
-    allowed, the padded array is the grid itself.
+    Raises GuardExceededError before any row array is built when the
+    product grid has more than `guard` channels.  Slices with the same
+    allowed cells share one padded row array and one row-entropy vector;
+    with every cell allowed, the padded array is the grid itself.
     """
+    n_full = poly.allowed.shape[1]
+    prod = 1
+    for n in poly.allowed.sum(axis=1):
+        prod *= math.comb(grids.units + int(n) - 1, int(n) - 1)
+        if prod > guard:
+            raise GuardExceededError(
+                f"grid has {prod}+ channels, guard is {guard}", prod, guard)
     shared: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
     slices = []
-    for x, allowed_x in enumerate(allowed):
+    for x, allowed_x in enumerate(poly.allowed):
         cells = np.flatnonzero(allowed_x)
-        if cells.size == 0:
-            raise InfeasibleBudgetError("a source symbol has no allowed reconstruction")
         rows = grids.rows(cells.size)
         key = cells.tobytes()
         if key not in shared:
@@ -161,16 +170,14 @@ def _build_slices(grids: _Grids, allowed: Sequence[np.ndarray], n_full: int,
                 padded[:, cells] = rows
             shared[key] = padded, entropy_rows(rows)
         padded, h_row = shared[key]
-        costs = np.stack([rows @ cv[x][cells] for cv in cost_full])
+        costs = np.stack([rows @ c[x][cells] for c in poly.costs])
         slices.append(_Slice(cells=cells, padded=padded, costs=costs, h_row=h_row))
     return slices
 
 
-def _zero_rate_witness(slices: list[_Slice], grids: _Grids, n_full: int,
-                       cost_full: list[list[np.ndarray]],
-                       budgets: np.ndarray) -> np.ndarray | None:
-    """Feasible constant channel on the grid, or None (`cost_full` as in
-    `_build_slices`)."""
+def _zero_rate_witness(slices: list[_Slice], grids: _Grids,
+                       poly: ChannelPolytope) -> np.ndarray | None:
+    """Feasible constant channel slice on the grid, or None."""
     common = slices[0].cells
     for s in slices[1:]:
         common = np.intersect1d(common, s.cells)
@@ -178,15 +185,15 @@ def _zero_rate_witness(slices: list[_Slice], grids: _Grids, n_full: int,
         return None
     rows = grids.rows(common.size)
     ok = np.ones(rows.shape[0], dtype=bool)
-    for j, budget in enumerate(budgets):
+    for c, budget in zip(poly.costs, poly.budgets):
         total = np.zeros(rows.shape[0])
         for x in range(len(slices)):
-            total += rows @ cost_full[j][x][common]
+            total += rows @ c[x][common]
         ok &= total <= budget_limit(budget)
     hits = np.flatnonzero(ok)
     if hits.size == 0:
         return None
-    row = np.zeros(n_full)
+    row = np.zeros(poly.allowed.shape[1])
     row[common] = rows[hits[0]]   # lexicographically first feasible row
     return row
 
@@ -295,14 +302,29 @@ def _oracle_batch(n_full: int) -> int:
     return max(1, min(BATCH, BATCH * 4 // n_full))
 
 
-def _check_guard_counts(support_sizes: list[int], units: int, guard: int) -> None:
-    """Reject oversized product grids before any row array is built."""
-    prod = 1
-    for ns in support_sizes:
-        prod *= math.comb(units + ns - 1, ns - 1)
-        if prod > guard:
-            raise GuardExceededError(
-                f"grid has {prod}+ channels, guard is {guard}", prod, guard)
+def _oracle(poly: ChannelPolytope, terms: tuple[MITerm, ...], px: np.ndarray,
+            p_xy_by_axis: dict[int, np.ndarray], step: float, guard: int,
+            ) -> tuple[float, np.ndarray]:
+    """Grid minimum of `terms` over the channels of `poly` at `step`, and
+    a (|X|, m1, m2) channel attaining it (`px` and `p_xy_by_axis` as in
+    `GridTerms`).  The guard bounds the number of product grid points."""
+    grids = _Grids(step_units(step))
+    slices = _build_slices(poly, grids, guard)
+    nx, m1, m2 = poly.shape
+    row = _zero_rate_witness(slices, grids, poly)
+    if row is not None:
+        return 0.0, np.tile(row.reshape(1, m1, m2), (nx, 1, 1))
+    del grids   # the enumeration keeps only what the slices hold
+
+    objective = GridTerms(terms, px, p_xy_by_axis, [s.padded for s in slices],
+                          [s.h_row for s in slices], (m1, m2))
+    best, best_idx = _grid_argmin(objective, _feasible_batches(
+        slices, poly.budgets, _oracle_batch(m1 * m2)))
+    if not math.isfinite(best):
+        raise InfeasibleBudgetError(f"no grid channel meets budgets "
+                                    f"{poly.budgets.tolist()} at step {step}")
+    cond = np.stack([slices[x].padded[i].reshape(m1, m2) for x, i in enumerate(best_idx)])
+    return max(0.0, best), cond
 
 
 def grid_oracle_point_cr(pair_pmf: FinitePmf, metric: DistortionMetric,
@@ -316,56 +338,10 @@ def grid_oracle_point_cr(pair_pmf: FinitePmf, metric: DistortionMetric,
     """
     if pair_pmf.ndim != 2:
         raise InvalidSpecError("point oracle needs a 2-axis joint p(x,y)")
-    check_budget("d", d)
     p_xy = pair_pmf.mass
-    nx = p_xy.shape[0]
-    if metric.n_inputs != nx:
-        raise ShapeMismatchError("metric rows must equal |X|")
-    k = step_units(step)
     px = p_xy.sum(axis=1)
-    n_full = metric.n_outputs
-    _check_guard_counts([int(np.isfinite(metric.matrix[x]).sum())
-                         for x in range(nx)], k, guard)
-    cost_full = [[px[x] * np.where(np.isfinite(metric.matrix[x]),
-                                   metric.matrix[x], 0.0) for x in range(nx)]]
-    grids = _Grids(k)
-    slices = _build_slices(grids, np.isfinite(metric.matrix), n_full, cost_full)
-    budgets = np.array([d])
-
-    if _zero_rate_witness(slices, grids, n_full, cost_full, budgets) is not None:
-        return 0.0
-    del grids   # the enumeration keeps only what the slices hold
-
-    objective = GridTerms(POINT_TERMS, px, {1: p_xy}, [s.padded for s in slices],
-                          [s.h_row for s in slices], (n_full, 1))
-    best, _ = _grid_argmin(objective, _feasible_batches(slices, budgets,
-                                                        _oracle_batch(n_full)))
-    if not math.isfinite(best):
-        raise InfeasibleBudgetError(
-            f"no grid channel meets E[d] <= {d} at step {step}")
-    return max(0.0, best)
-
-
-def _hb_slices(source: JointSource, metric1: DistortionMetric,
-               metric2: DistortionMetric, grids: _Grids, guard: int):
-    nx = source.nx
-    if metric1.n_inputs != nx or metric2.n_inputs != nx:
-        raise ShapeMismatchError("metric rows must equal |X|")
-    m1, m2 = metric1.n_outputs, metric2.n_outputs
-    allowed = [
-        (np.isfinite(metric1.matrix[x])[:, None]
-         & np.isfinite(metric2.matrix[x])[None, :]).reshape(-1)
-        for x in range(nx)
-    ]
-    _check_guard_counts([int(a.sum()) for a in allowed], grids.units, guard)
-    px = source.x_marginal()
-    d1 = np.where(np.isfinite(metric1.matrix), metric1.matrix, 0.0)
-    d2 = np.where(np.isfinite(metric2.matrix), metric2.matrix, 0.0)
-    cost_full = [
-        [px[x] * np.repeat(d1[x], m2) for x in range(nx)],
-        [px[x] * np.tile(d2[x], m1) for x in range(nx)],
-    ]
-    return _build_slices(grids, allowed, m1 * m2, cost_full), cost_full, m1, m2
+    return _oracle(ChannelPolytope(px, (metric,), (d,)), POINT_TERMS, px, {1: p_xy},
+                   step, guard)[0]
 
 
 def grid_oracle_hb_cr(source: JointSource, metric1: DistortionMetric,
@@ -378,28 +354,11 @@ def grid_oracle_hb_cr(source: JointSource, metric1: DistortionMetric,
     p(xh1,xh2|x) meeting both distortion budgets; returns the minimum and
     the achieving channel.
     """
-    grids = _Grids(step_units(step))
-    slices, cost_full, m1, m2 = _hb_slices(source, metric1, metric2, grids, guard)
-    budgets = np.array([pair.d1, pair.d2])
-    nx = source.nx
-
-    row = _zero_rate_witness(slices, grids, m1 * m2, cost_full, budgets)
-    if row is not None:
-        cond = np.tile(row.reshape(1, m1, m2), (nx, 1, 1))
-        return 0.0, TestChannel(cond)
-    del grids   # the enumeration keeps only what the slices hold
-
-    objective = GridTerms(HB_CR_TERMS, source.x_marginal(),
-                          {1: source.xy1_marginal(), 2: source.xy2_marginal()},
-                          [s.padded for s in slices], [s.h_row for s in slices], (m1, m2))
-    best, best_idx = _grid_argmin(objective, _feasible_batches(slices, budgets,
-                                                               _oracle_batch(m1 * m2)))
-    if not math.isfinite(best):
-        raise InfeasibleBudgetError(
-            f"no grid channel meets budgets {pair} at step {step}")
-    cond = np.stack([slices[x].padded[i].reshape(m1, m2)
-                     for x, i in enumerate(best_idx)])
-    return max(0.0, best), TestChannel(cond)
+    px = source.x_marginal()
+    poly = ChannelPolytope(px, (metric1, metric2), (pair.d1, pair.d2))
+    rate, cond = _oracle(poly, HB_CR_TERMS, px,
+                         {1: source.xy1_marginal(), 2: source.xy2_marginal()}, step, guard)
+    return rate, TestChannel(cond)
 
 
 def feasible_hb_channel_batches(
@@ -414,13 +373,14 @@ def feasible_hb_channel_batches(
     sweep keeps a rate point per channel), not the product grid; it is
     raised when the batch that crosses it is reached.
     """
-    slices, _, m1, m2 = _hb_slices(source, metric1, metric2, _Grids(step_units(step)),
-                                   HB_GUARD_DEFAULT)
+    poly = ChannelPolytope(source.x_marginal(), (metric1, metric2), (pair.d1, pair.d2))
+    slices = _build_slices(poly, _Grids(step_units(step)), HB_GUARD_DEFAULT)
+    nx, m1, m2 = poly.shape
     seen = 0
-    for idx in _feasible_batches(slices, np.array([pair.d1, pair.d2]), batch):
+    for idx in _feasible_batches(slices, poly.budgets, batch):
         seen += idx[0].size
         if seen > guard:
             raise GuardExceededError(
                 f"budget-feasible sweep exceeds {guard} channels", seen, guard)
         yield np.stack([slices[x].padded[idx[x]].reshape(-1, m1, m2)
-                        for x in range(source.nx)], axis=1)
+                        for x in range(nx)], axis=1)

@@ -56,7 +56,6 @@ class RateRegion:
     half-line (e.g. "r2" when any r2 >= 0 is achievable at the corner)."""
 
     points: tuple[RatePoint, ...]
-    dominance_closed: bool = True
     unbounded: tuple[str, ...] = ()
 
 

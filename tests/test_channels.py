@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import crrd
 from crrd import (
+    ChannelPolytope,
     ConRConstraint,
     DistortionMetric,
     InvalidSpecError,
@@ -139,6 +140,90 @@ class TestEvalDistortions:
         ch = TestChannel.constant(2, 2, 3)
         with pytest.raises(ShapeMismatchError):
             eval_distortions(erased_full, ch, hamming2, hamming2)
+
+
+def _random_metric(rng, nx, m, forbid):
+    """Random metric with entries in [0, 1); with `forbid`, each row keeps
+    one random cell, forbids another and each remaining one with
+    probability 1/2."""
+    mat = rng.uniform(0, 1, (nx, m))
+    if forbid:
+        keep = rng.integers(m, size=nx)
+        cut = rng.uniform(size=(nx, m)) < 0.5
+        cut[np.arange(nx), (keep + rng.integers(1, m, size=nx)) % m] = True
+        cut[np.arange(nx), keep] = False
+        mat[cut] = np.inf
+    return DistortionMetric(mat)
+
+
+def _polytope_instances():
+    """Seeded sources with |X| <= 3 and metric pairs, erasure ones included."""
+    rng = np.random.default_rng(11)
+    yield (random_source(rng), DistortionMetric.erasure(2),
+           DistortionMetric.erasure(2))
+    yield (random_source(rng), DistortionMetric.hamming(2),
+           DistortionMetric.erasure(2))
+    for nx in (1, 2, 3, 3):
+        src = random_source(rng, nx=nx)
+        yield (src, _random_metric(rng, nx, int(rng.integers(2, 4)), forbid=True),
+               _random_metric(rng, nx, int(rng.integers(2, 4)), forbid=nx > 1))
+
+
+def _channel_on(allowed, shape, rng):
+    """Random channel putting mass on every allowed cell and on no other."""
+    cond = np.zeros(allowed.shape)
+    for x, a in enumerate(allowed):
+        cond[x, a] = rng.dirichlet(np.ones(int(a.sum())))
+    return TestChannel(cond.reshape(shape))
+
+
+class TestChannelPolytope:
+    @pytest.mark.parametrize("case", range(6))
+    def test_costs_match_independent_evaluator(self, case):
+        source, m1, m2 = list(_polytope_instances())[case]
+        poly = ChannelPolytope(source.x_marginal(), (m1, m2), (0.1, 0.2))
+        assert poly.shape == (source.nx, m1.n_outputs, m2.n_outputs)
+        assert poly.costs.shape == (2,) + poly.allowed.shape
+        rng = np.random.default_rng(case)
+        for _ in range(5):
+            ch = _channel_on(poly.allowed, poly.shape, rng)
+            flat = ch.cond.reshape(source.nx, -1)
+            got = [sum(c[x] @ flat[x] for x in range(source.nx)) for c in poly.costs]
+            want = eval_distortions(source, ch, m1, m2)
+            assert got == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_excluded_cells_fail_support_validation(self, case):
+        source, m1, m2 = list(_polytope_instances())[case]
+        poly = ChannelPolytope(source.x_marginal(), (m1, m2), (0.1, 0.2))
+        excluded = np.argwhere(~poly.allowed)
+        assert excluded.size, "every instance forbids some cell"
+        ok = _channel_on(poly.allowed, poly.shape, np.random.default_rng(case))
+        ok.validate_support(m1, m2)
+        for x, cell in excluded:
+            cond = ok.cond.reshape(poly.allowed.shape).copy()
+            cond[x] = 0.0
+            cond[x, cell] = 1.0
+            with pytest.raises(InvalidSpecError):
+                TestChannel(cond.reshape(poly.shape)).validate_support(m1, m2)
+
+    def test_one_metric_layout(self):
+        rng = np.random.default_rng(5)
+        for nx in (1, 2, 3):
+            px = rng.dirichlet(np.ones(nx))
+            metric = _random_metric(rng, nx, 3, forbid=True)
+            poly = ChannelPolytope(px, (metric,), (0.3,))
+            assert poly.shape == (nx, 3, 1)
+            assert np.array_equal(poly.allowed, np.isfinite(metric.matrix))
+            assert np.array_equal(poly.costs[0],
+                                  px[:, None] * np.where(poly.allowed, metric.matrix, 0.0))
+
+    def test_wrong_row_count_rejected(self, hamming2):
+        px = np.full(3, 1 / 3)
+        with pytest.raises(ShapeMismatchError):
+            ChannelPolytope(px, (hamming2,), (0.1,))
+        with pytest.raises(ShapeMismatchError):
+            ChannelPolytope(px, (DistortionMetric.hamming(3), hamming2), (0.1, 0.1))
 
 
 class TestAuxTypes:

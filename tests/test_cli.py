@@ -404,6 +404,22 @@ class TestRegionsViaCli:
         assert float(row[2]) == pytest.approx(0.5949139291763825, abs=1e-6)
         assert float(row[3]) == pytest.approx(0.2497610650094153, abs=1e-6)
 
+    def test_cascade_erasure_corner_uses_erasure_closed_form(self, capsys):
+        rc, out, _ = run_cli(["cascade-cr", "--model", "binary-erased:1,0.35",
+                              "--d1", ".1", "--d2", ".05", "--metric", "erasure",
+                              "--solver", "both", "--step", "0.25", "--format", "json"],
+                             capsys)
+        assert rc == 0
+        closed, grid = json.loads(out)["rows"][:2]
+        assert closed[4] == "closed_form" and grid[4] == "grid"
+        erasure = crrd.BinaryMetric.ERASURE
+        want = (crrd.rhb_cr_binary(crrd.DistortionPair(0.1, 0.05),
+                                   crrd.BinaryErasureSpec(1.0, 0.35), erasure).rate,
+                crrd.rcr_point_binary(0.05, 0.35, erasure))
+        assert tuple(closed[2:4]) == pytest.approx(want, abs=1e-12)
+        assert want == pytest.approx((0.9175, 0.3325), abs=1e-12)
+        assert closed[2] <= grid[2] + 1e-12 and closed[3] <= grid[3] + 1e-12
+
     def test_conr_flags_column(self, capsys):
         rc, out, _ = run_cli(["conr", "--model", "binary-erased:1,0.35",
                               "--d1", "0.1", "--d2", "0.05", "--de1", "0.0",

@@ -188,16 +188,19 @@ class TestCascadeThresholds:
         assert r1 == pytest.approx(r2, abs=1e-12)
 
     def test_binary_hand_values(self):
-        r1, r2 = cascade_region_binary(DistortionPair(0.1, 0.05), BSPEC)
+        r1, r2 = cascade_region_binary(DistortionPair(0.1, 0.05), BSPEC,
+                                       BinaryMetric.HAMMING)
         assert r1 == pytest.approx(RT_B_01005, abs=1e-12)
         assert r2 == pytest.approx(RCR_B2_005, abs=1e-12)
         assert r2 == pytest.approx(0.24978, abs=1e-4)
 
     def test_binary_trivial(self):
-        assert cascade_region_binary(DistortionPair(0.5, 0.5), BSPEC) == (0.0, 0.0)
+        assert cascade_region_binary(DistortionPair(0.5, 0.5), BSPEC,
+                                     BinaryMetric.HAMMING) == (0.0, 0.0)
 
     def test_binary_first_hop_saturates(self):
-        r1, r2 = cascade_region_binary(DistortionPair(0.6, 0.05), BSPEC)
+        r1, r2 = cascade_region_binary(DistortionPair(0.6, 0.05), BSPEC,
+                                       BinaryMetric.HAMMING)
         assert r1 == pytest.approx(r2, abs=1e-12)
 
 

@@ -14,7 +14,6 @@ from crrd import (
     descent_hb_cr,
     eval_distortions,
     eval_hb_cr_objective,
-    feasible_channel,
     grid_oracle_hb_cr,
 )
 from crrd.descent import _PROBES, _Feasible, _objective, descent_weighted
@@ -109,12 +108,6 @@ class TestDescent:
         floor = DistortionMetric(np.array([[0.2, 1.0], [1.0, 0.2]]))
         with pytest.raises(InfeasibleBudgetError):
             descent_hb_cr(erased_full, floor, hamming2, DistortionPair(0.1, 0.5))
-
-    def test_feasible_channel_helper(self, erased_full, hamming2):
-        pair = DistortionPair(0.1, 0.05)
-        ch = feasible_channel(erased_full, hamming2, hamming2, pair)
-        d1, d2 = eval_distortions(erased_full, ch, hamming2, hamming2)
-        assert d1 <= pair.d1 + 1e-8 and d2 <= pair.d2 + 1e-8
 
     def test_respects_forbidden_support(self, erased_full):
         me = DistortionMetric.erasure(2)
@@ -245,6 +238,11 @@ class TestBatchedProjection:
         m1 = DistortionMetric(np.array([[0.0, 1.0, 1.0], [inf, 0.0, 1.0], [1.0, 1.0, 0.0]]))
         m2 = DistortionMetric(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 1.0]]))
         return _Feasible(src, m1, m2, DistortionPair(0.3, 0.25))
+
+    def test_halfspace_weights_are_contiguous(self, feas):
+        # np.vecdot gives a strided weight row other bits than a contiguous one
+        for w, _, _ in feas.halfspaces:
+            assert w.ndim == 1 and w.flags.c_contiguous
 
     @staticmethod
     def _cycles(feas, row, max_cycles):

@@ -104,6 +104,38 @@ class TestPointOracle:
             grid_oracle_point_cr(pmf, m, 0.1, step=0.01, guard=100)
 
 
+def _point_cases():
+    """(pair pmf, metric, d, step): the erased source under both binary
+    metrics, and seeded random pairs from 2x2 to 3x3 with square metrics
+    that have one zero-cost reconstruction per source symbol.  The random
+    budget is half the least cost of a constant reconstruction, so the
+    rate is positive, and the zero-cost channel keeps it feasible."""
+    yield erased_pair_pmf(0.35), DistortionMetric.hamming(2), 0.1, 0.05
+    yield erased_pair_pmf(0.35), DistortionMetric.erasure(2), 0.2, 0.05
+    rng = np.random.default_rng(7)
+    for nx, ny, step in itertools.product((2, 3), (2, 3), (0.1, 0.25)):
+        pmf = FinitePmf(rng.dirichlet(np.ones(nx * ny)).reshape(nx, ny))
+        mat = rng.uniform(0, 1, (nx, nx))
+        mat[np.arange(nx), rng.permutation(nx)] = 0.0
+        d = 0.5 * float((pmf.mass.sum(axis=1) @ mat).min())
+        yield pmf, DistortionMetric(mat), d, step
+
+
+class TestPointIsHbWithTrivialSecondDecoder:
+    @pytest.mark.parametrize("case", range(10))
+    def test_rates_agree(self, case):
+        # a second decoder with one reconstruction symbol and zero cost adds
+        # no rate, so both oracles minimize the same objective on one grid
+        pmf, metric, d, step = list(_point_cases())[case]
+        nx = pmf.mass.shape[0]
+        source = crrd.JointSource(pmf.mass[:, :, None])
+        trivial = DistortionMetric(np.zeros((nx, 1)))
+        point = grid_oracle_point_cr(pmf, metric, d, step)
+        hb, wit = grid_oracle_hb_cr(source, metric, trivial, DistortionPair(d, 0.0), step)
+        assert point == pytest.approx(hb, abs=1e-12)
+        assert wit.cond.shape == (nx, metric.n_outputs, 1)
+
+
 class TestHbOracle:
     def test_spot_matches_closed_form(self, erased_full, hamming2):
         rate, wit = grid_oracle_hb_cr(erased_full, hamming2, hamming2,
