@@ -63,7 +63,7 @@ from .closed_form import DistortionPair
 from .errors import GuardExceededError, InfeasibleBudgetError, InvalidSpecError, \
     ShapeMismatchError
 from .gridsearch import BATCH, POINT_GUARD_DEFAULT, budget_limit, simplex_grid, step_units
-from .measures import HB_CR_TERMS, POINT_TERMS, GridTerms, entropy_rows
+from .measures import HB_CR_TERMS, POINT_TERMS, GridTerms, entropy_rows, side_pmfs
 from .prob import DistortionMetric, FinitePmf, JointSource, check_budget
 
 __all__ = [
@@ -159,31 +159,15 @@ def _gather_sum(tables: list[tuple[int, np.ndarray]], block: tuple[np.ndarray, .
     return total
 
 
-def _hb_grid(source: JointSource, u_caps: tuple[int, int], step: float, guard: int):
+def _hb_grid(sides: dict, u_caps: tuple[int, int], step: float, guard: int):
     """Auxiliary grid rows, their canonical row indices, their U1 and U2
-    marginals and the two-decoder objective over them."""
-    rows, canonical = _u_grid(source.nx, u_caps, step, guard)
-    objective = GridTerms(HB_CR_TERMS, source.x_marginal(),
-                          {1: source.xy1_marginal(), 2: source.xy2_marginal()},
-                          [rows] * source.nx, [entropy_rows(rows)] * source.nx, u_caps)
+    marginals and the two-decoder objective over them on `side_pmfs` sides."""
+    nx = sides[None].shape[0]
+    rows, canonical = _u_grid(nx, u_caps, step, guard)
+    objective = GridTerms(HB_CR_TERMS, sides, [rows] * nx, [entropy_rows(rows)] * nx,
+                          u_caps)
     table = rows.reshape(-1, *u_caps)
     return rows, canonical, table.sum(axis=2), table.sum(axis=1), objective
-
-
-def _map_free_distortion(p_xy: np.ndarray, metric: DistortionMetric) -> float:
-    """Best E[d] when the decoder sees only y (no message at all)."""
-    fin = np.isfinite(metric.matrix)
-    d0 = np.where(fin, metric.matrix, 0.0)
-    total = 0.0
-    for y in range(p_xy.shape[1]):
-        w = p_xy[:, y]
-        if w.sum() <= 0:
-            continue
-        cost = w @ d0
-        bad = (w @ (~fin).astype(float)) > 1e-15
-        cost = np.where(bad, np.inf, cost)
-        total += cost.min()
-    return float(total)
 
 
 def _decoder_budget_test(p_xy: np.ndarray, m_u: np.ndarray, metric: DistortionMetric,
@@ -227,6 +211,13 @@ def _decoder_budget_test(p_xy: np.ndarray, m_u: np.ndarray, metric: DistortionMe
     return test
 
 
+def _no_message_meets(p_xy: np.ndarray, metric: DistortionMetric, limit: float) -> bool:
+    """Whether a decoder that sees only y meets `limit`: the
+    `_decoder_budget_test` of a one-symbol auxiliary."""
+    test = _decoder_budget_test(p_xy, np.ones((1, 1)), metric, limit)
+    return bool(test((np.zeros(1, dtype=np.intp),) * p_xy.shape[0])[0])
+
+
 def brute_force_wz(pair_pmf: FinitePmf, metric: DistortionMetric, d: float,
                    u_cap: int, step: float,
                    guard: int = POINT_GUARD_DEFAULT) -> float:
@@ -243,10 +234,10 @@ def brute_force_wz(pair_pmf: FinitePmf, metric: DistortionMetric, d: float,
     nx = p_xy.shape[0]
     if metric.n_inputs != nx:
         raise ShapeMismatchError("metric rows must equal |X|")
-    if _map_free_distortion(p_xy, metric) <= budget_limit(d):
+    if _no_message_meets(p_xy, metric, budget_limit(d)):
         return 0.0
     rows, canonical = _u_grid(nx, (u_cap, 1), step, guard)
-    objective = GridTerms(POINT_TERMS, p_xy.sum(axis=1), {1: p_xy}, [rows] * nx,
+    objective = GridTerms(POINT_TERMS, side_pmfs(p_xy), [rows] * nx,
                           [entropy_rows(rows)] * nx, (u_cap, 1))
     best = _grid_min(rows, canonical, nx, objective,
                      _decoder_budget_test(p_xy, rows, metric, budget_limit(d)))
@@ -267,16 +258,15 @@ def brute_force_hb_nocr(source: JointSource, metric1: DistortionMetric,
     nu1, nu2 = u_caps
     if nu1 < 1 or nu2 < 1:
         raise InvalidSpecError("auxiliary caps must be >= 1")
-    p_xy1 = source.xy1_marginal()
-    p_xy2 = source.xy2_marginal()
-    if (_map_free_distortion(p_xy1, metric1) <= budget_limit(pair.d1)
-            and _map_free_distortion(p_xy2, metric2) <= budget_limit(pair.d2)):
+    sides = side_pmfs(source)
+    if (_no_message_meets(sides[1], metric1, budget_limit(pair.d1))
+            and _no_message_meets(sides[2], metric2, budget_limit(pair.d2))):
         return 0.0
-    rows, canonical, m1_rows, m2_rows, objective = _hb_grid(source, u_caps, step, guard)
+    rows, canonical, m1_rows, m2_rows, objective = _hb_grid(sides, u_caps, step, guard)
     best = _grid_min(
         rows, canonical, source.nx, objective,
-        _decoder_budget_test(p_xy1, m1_rows, metric1, budget_limit(pair.d1)),
-        _decoder_budget_test(p_xy2, m2_rows, metric2, budget_limit(pair.d2)))
+        _decoder_budget_test(sides[1], m1_rows, metric1, budget_limit(pair.d1)),
+        _decoder_budget_test(sides[2], m2_rows, metric2, budget_limit(pair.d2)))
     if not math.isfinite(best):
         raise InfeasibleBudgetError(f"no auxiliary grid channel meets budgets {pair}")
     return max(0.0, best)
@@ -470,10 +460,9 @@ def brute_force_conr(source: JointSource, metric1: DistortionMetric,
         raise ShapeMismatchError("metric_e1 must act on the first reconstruction alphabet")
     if conr.metric_e2.n_inputs != metric2.n_outputs:
         raise ShapeMismatchError("metric_e2 must act on the second reconstruction alphabet")
-    px = source.x_marginal()
-    p_xy1 = source.xy1_marginal()
-    p_xy2 = source.xy2_marginal()
-    rows, canonical, m1_rows, m2_rows, objective = _hb_grid(source, u_caps, step, guard)
+    sides = side_pmfs(source)
+    px, p_xy1, p_xy2 = sides[None][:, 0], sides[1], sides[2]
+    rows, canonical, m1_rows, m2_rows, objective = _hb_grid(sides, u_caps, step, guard)
 
     maps1, heur1 = _decoder_maps(nu1, source.ny1, metric1.n_outputs, map_budget)
     maps2, heur2 = _decoder_maps(nu2, source.ny2, metric2.n_outputs, map_budget)

@@ -1,10 +1,12 @@
-"""Test channels, their budget polytope, the constrained-reconstruction
-budget, and objective evaluators.
+"""Test channels, their budget polytope, the CR problem over it, the
+constrained-reconstruction budget, and objective evaluators.
 
 A test channel p(xhat1, xhat2 | x) is the optimization variable of the
 common-reconstruction formulas, and `ChannelPolytope` is the set every
-solver searches.  `eval_distortions` and `TestChannel.validate_support`
-do not use the polytope: they are the independent re-check of a witness.
+solver searches.  `CRProblem` adds the objective, a weighted sum of
+`MITerm`s, and the side pmfs it reads; the grid oracles and descent take
+it.  `eval_distortions` and `TestChannel.validate_support` do not use the
+polytope: they are the independent re-check of a witness.
 """
 
 from __future__ import annotations
@@ -15,12 +17,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidSpecError, ShapeMismatchError
+# `prob` (and with it scipy) before `measures`: in the other order a fresh
+# `import crrd` measured about 0.1 s slower on 2 cores (bench `setup_s`)
 from .prob import DistortionMetric, FinitePmf, JointSource, check_budget, \
     check_markov_chain, conditional_mutual_information
+from .measures import HB_CR_TERMS, POINT_TERMS, MITerm, side_pmfs
 
 __all__ = [
     "TestChannel",
     "ChannelPolytope",
+    "CRProblem",
     "ConRConstraint",
     "compose_joint",
     "eval_hb_cr_objective",
@@ -90,10 +96,8 @@ class TestChannel:
 class ChannelPolytope:
     """Test channels p(xh1, xh2 | x) meeting linear budgets E[d_j] <= D_j.
 
-    Every CR rate is a minimum over this set: the broadcast rate with two
-    metrics, the point-to-point rate with one.  A channel's x-slice is
-    flattened xh1-major, so cell a * m2 + b is (xh1 = a, xh2 = b); one
-    metric gives the layout (|X|, m, 1).
+    A channel's x-slice is flattened xh1-major, so cell a * m2 + b is
+    (xh1 = a, xh2 = b); one metric gives the layout (|X|, m, 1).
 
     `shape` is (|X|, m1, m2); `allowed` (|X|, m1 * m2) flags the cells that
     no metric forbids; `costs` (n_budgets, |X|, m1 * m2) holds each cell's
@@ -123,6 +127,47 @@ class ChannelPolytope:
         self.allowed = finite.all(axis=0)
         self.costs = px[:, None] * np.where(finite, full, 0.0)
         self.budgets = np.array(budgets, dtype=np.float64)
+
+
+@dataclass(frozen=True, eq=False)
+class CRProblem:
+    """Minimize sum_i weights[i] * terms[i] over the channels of `poly`.
+
+    Every CR rate of the paper is one such minimum.  `sides` maps each
+    term's `y_axis` to p(x, y), as built by `measures.side_pmfs`.  Raises
+    InvalidSpecError unless there is one finite weight >= 0 per term and
+    every term's side is in `sides`.
+    """
+
+    poly: ChannelPolytope
+    terms: tuple[MITerm, ...]
+    weights: tuple[float, ...]
+    sides: dict[int | None, np.ndarray]
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=np.float64)
+        if w.shape != (len(self.terms),) or not np.all(np.isfinite(w) & (w >= 0)):
+            raise InvalidSpecError(f"need one finite weight >= 0 per term, got "
+                                   f"{len(self.terms)} terms and weights {self.weights!r}")
+        if any(t.y_axis not in self.sides for t in self.terms):
+            raise InvalidSpecError("a term reads a side information the problem lacks")
+        object.__setattr__(self, "weights", tuple(w.tolist()))
+
+    @classmethod
+    def broadcast(cls, source: JointSource, metric1: DistortionMetric,
+                  metric2: DistortionMetric, budgets: Sequence[float],
+                  terms: tuple[MITerm, ...] = HB_CR_TERMS,
+                  weights: Sequence[float] = (1.0, 1.0)) -> "CRProblem":
+        """Two decoders, E[d_j(X, Xh_j)] <= budgets[j]; the HB CR rate by default."""
+        poly = ChannelPolytope(source.x_marginal(), (metric1, metric2), budgets)
+        return cls(poly, tuple(terms), weights, side_pmfs(source))
+
+    @classmethod
+    def point(cls, p_xy: np.ndarray, metric: DistortionMetric, d: float) -> "CRProblem":
+        """I(X;Xh|Y) subject to E[d(X, Xh)] <= d, in the (|X|, m, 1) layout."""
+        sides = side_pmfs(p_xy)
+        return cls(ChannelPolytope(sides[None][:, 0], (metric,), (d,)),
+                   POINT_TERMS, (1.0,), sides)
 
 
 @dataclass(frozen=True)

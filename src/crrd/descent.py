@@ -1,29 +1,27 @@
 """Multistart projected local descent over test channels.
 
-The feasible set is the `channels.ChannelPolytope` of the two budgets:
-the product of per-source-symbol simplices over the polytope's allowed
-cells (forbidden reconstruction pairs stay at zero) intersected with one
-linear distortion half-space per row of its `costs`.  Projection onto
-that intersection is computed with Dykstra's alternating-projection
-scheme, which converges to the exact Euclidean projection for closed
-convex sets; the stopping tolerance is 1e-10.  Inputs that have not settled after the cycle budget
-fall back to plain alternating projection, which can end outside the
-budgets: only the simplex constraints are guaranteed on every output.
+The problem is a `channels.CRProblem`.  Its feasible set is the
+problem's `ChannelPolytope`, with any number of budget rows: the product
+of per-source-symbol simplices over the polytope's allowed cells
+(forbidden reconstruction pairs stay at zero) intersected with one linear
+distortion half-space per row of its `costs`.  Projection onto that
+intersection is computed with Dykstra's alternating-projection scheme,
+which converges to the exact Euclidean projection for closed convex sets;
+the stopping tolerance is 1e-10.  Inputs that have not settled after the
+cycle budget fall back to plain alternating projection, which can end
+outside the budgets: only the simplex constraints are guaranteed on every
+output.
 
-All starts of one descent run in lockstep.  Each round stacks, for every
-running start, the line-search probes at the next `_PROBES` step lengths
-(t, t/2, t/4) and projects the stack in one batched Dykstra call, in which
-every row stops on its own test.  A halving needs no objective value at a
-new point, so the probes a start would try after rejections can be
-projected ahead.  The objective and the accept/halve/stop decisions stay
-per start: a start walks its probes in order up to its first accept or
-stop and drops the rest, so it takes exactly the path it would take alone.
-A probe that the projection leaves over a budget counts as a rejection,
-and only starts that end within the budgets can win.
+All starts of one descent run in lockstep: each round projects every
+running start's next `_PROBES` line-search probes in one batched Dykstra
+call, in which every row stops on its own test.  A halving needs no
+objective value at a new point, so the probes a start would try after
+rejections can be projected ahead; `descent_weighted` says how each start
+walks them.
 
-The objective is any nonnegative combination of conditional mutual
-informations I(X; B | Y, D), given as `MITerm`s; values and analytic
-gradients come from `measures.term_value_grad`.  Convexity of the
+The objective is the problem's nonnegative combination of conditional
+mutual informations I(X; B | Y, D), given as `MITerm`s; values and
+analytic gradients come from `measures.term_value_grad`.  Convexity of the
 combined objective is not assumed; the solver is a multistart local method
 whose results are cross-checked against the enumeration oracles in the
 test suite.
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .channels import ChannelPolytope, TestChannel
+from .channels import ChannelPolytope, CRProblem, TestChannel
 from .closed_form import DistortionPair
 from .errors import InfeasibleBudgetError, InvalidSpecError
 from .gridsearch import BATCH
@@ -65,10 +63,7 @@ class _Feasible:
     cycles plus any fallback sweeps.
     """
 
-    def __init__(self, source: JointSource, metric1: DistortionMetric,
-                 metric2: DistortionMetric, pair: DistortionPair):
-        poly = ChannelPolytope(source.x_marginal(), (metric1, metric2),
-                               (pair.d1, pair.d2))
+    def __init__(self, poly: ChannelPolytope):
         nx, m1, m2 = self.shape = poly.shape
         self.support = [np.flatnonzero(a) for a in poly.allowed]
         #: position of every flattened coordinate in q.reshape(-1)
@@ -103,21 +98,9 @@ class _Feasible:
             out[:, cols] = v.reshape(z.shape[0], *cols.shape)
         return out
 
-    def _halfspace(self, i: int):
-        w, b, nrm2 = self.halfspaces[i]
-
-        def proj(z: np.ndarray) -> np.ndarray:
-            if nrm2 == 0:
-                return z
-            # np.vecdot reproduces the per-row `w @ z` bits; `z @ w` does not
-            viol = np.vecdot(z, w) - b
-            return z - np.where(viol > 0, viol / nrm2, 0.0)[:, None] * w
-
-        return proj
-
     def _feasible(self, z: np.ndarray) -> np.ndarray:
-        (w1, b1, _), (w2, b2, _) = self.halfspaces
-        return np.maximum(np.vecdot(z, w1) - b1, np.vecdot(z, w2) - b2) < _BUDGET_TOL
+        return np.max([np.vecdot(z, w) - b for w, b, _ in self.halfspaces],
+                      axis=0) < _BUDGET_TOL
 
     def project(self, z: np.ndarray, max_cycles: int = 2000) -> np.ndarray:
         """Dykstra projection of every row of a (rows, dim) stack onto the
@@ -131,7 +114,7 @@ class _Feasible:
         projector, so slice sums are exact and no entry is negative, but
         a far-away row can leave the fallback still over a budget.
         """
-        sets = [self._halfspace(0), self._halfspace(1), self.project_simplices]
+        sets = [_halfspace(*h) for h in self.halfspaces] + [self.project_simplices]
         out = np.empty_like(z)
         live = np.arange(z.shape[0])
         x = z.copy()
@@ -170,15 +153,26 @@ class _Feasible:
         """LP pre-solve: a feasible point, or InfeasibleBudgetError."""
         nx = self.shape[0]
         a_eq = np.repeat(np.eye(nx), [s.size for s in self.support], axis=1)
-        a_ub = np.stack([w for (w, _, _) in self.halfspaces])
-        b_ub = np.array([b for (_, b, _) in self.halfspaces])
-        res = linprog(np.zeros(self.dim), A_ub=a_ub, b_ub=b_ub,
+        w, b, _ = zip(*self.halfspaces)
+        res = linprog(np.zeros(self.dim), A_ub=np.stack(w), b_ub=np.array(b),
                       A_eq=a_eq, b_eq=np.ones(nx),
                       bounds=[(0.0, 1.0)] * self.dim, method="highs")
         if not res.success:
             raise InfeasibleBudgetError(
                 "no channel meets the distortion budgets (LP pre-solve)")
         return np.asarray(res.x)
+
+
+def _halfspace(w: np.ndarray, b: float, nrm2: float):
+    """Projection of every row onto the half-space w . z <= b."""
+    def proj(z: np.ndarray) -> np.ndarray:
+        if nrm2 == 0:
+            return z
+        # np.vecdot reproduces the per-row `w @ z` bits; `z @ w` does not
+        viol = np.vecdot(z, w) - b
+        return z - np.where(viol > 0, viol / nrm2, 0.0)[:, None] * w
+
+    return proj
 
 
 def _project_simplex_rows(v: np.ndarray) -> np.ndarray:
@@ -202,15 +196,13 @@ class DescentResult:
     cycles: int       # projection cycles summed over those rounds
 
 
-def _objective(source: JointSource, q: np.ndarray,
-               terms: tuple[MITerm, ...], weights: np.ndarray,
-               ) -> tuple[float, np.ndarray]:
+def _objective(prob: CRProblem, q: np.ndarray) -> tuple[float, np.ndarray]:
     val = 0.0
     grad = np.zeros_like(q)
-    for term, w in zip(terms, weights):
+    for term, w in zip(prob.terms, prob.weights):
         if w == 0:
             continue
-        v, g = term_value_grad(source, q, term)
+        v, g = term_value_grad(prob.sides, q, term)
         val += w * v
         grad += w * g
     return val, grad
@@ -236,15 +228,17 @@ def descent_weighted(source: JointSource, metric1: DistortionMetric,
     halving and stopping stay per start, so every start takes the path it
     would take alone.  A probe that `project` leaves over a budget is a
     rejection.  Raises InvalidSpecError when one round's probe stack could
-    exceed `gridsearch.BATCH` rows, and InfeasibleBudgetError when no start
-    ends within the budgets.
+    exceed `gridsearch.BATCH` rows or `weights` is not one finite value
+    >= 0 per term, and InfeasibleBudgetError when no start ends within the
+    budgets.
     """
     if restarts < 0 or seed < 0:
         raise InvalidSpecError("restarts and seed must be >= 0")
     if (restarts + 2) * _PROBES > BATCH:
         raise InvalidSpecError(f"restarts must be at most {BATCH // _PROBES - 2}")
-    weights = np.asarray(weights, dtype=float)
-    feas = _Feasible(source, metric1, metric2, pair)
+    prob = CRProblem.broadcast(source, metric1, metric2, (pair.d1, pair.d2),
+                               terms, weights)
+    feas = _Feasible(prob.poly)
     rng = np.random.default_rng(seed)
 
     raw: list[np.ndarray] = []
@@ -257,7 +251,7 @@ def descent_weighted(source: JointSource, metric1: DistortionMetric,
     z = feas.project(np.stack(raw))
 
     def evaluate(z: np.ndarray) -> tuple[float, np.ndarray]:
-        v, g = _objective(source, feas.unflatten(z), terms, weights)
+        v, g = _objective(prob, feas.unflatten(z))
         return v, feas.flatten(g)
 
     def direction(g: np.ndarray) -> np.ndarray:

@@ -8,49 +8,33 @@ converges as the step shrinks (the feasible set is a polytope and the
 objective is continuous), and it is independent of any closed form, which
 is what makes it usable as a cross-check.
 
-The channels searched are the grid points of a `channels.ChannelPolytope`,
-which alone knows the cell layout, the forbidden cells and the budget
-weights.  Both public oracles run one body, `_oracle`: the point-to-point
-oracle is the one-metric polytope, laid out as a broadcast channel whose
-second reconstruction has a single symbol.
-
-Each slice's grid is `simplex_grid`, a stars-and-bars enumeration without
-recursion whose rows come out in lexicographic order.  One oracle call
-builds each grid once per distinct cell count, and slices with the same
-allowed cells share one padded row array and one row-entropy vector; the
-zero-rate check reuses those grids.  Nothing is cached across calls.
-
-One enumeration algorithm serves every source alphabet, with work that
-scales with the number of *feasible* channels rather than the full product
-grid: slices are walked depth first, rows with one cost profile are
-expanded once per group, and the last slice is scanned through a
-cost-sorted prefix.  Channels stream in batches of at most `batch`, and
-about that many are held at once, so memory is bounded by the batch size
-whatever the metric; the oracles size their batch by the reconstruction
-cell count, so the objective's per-batch mixture rows stay bounded too.
-Exact ties go to the lexicographically smallest channel, independent of
-enumeration order and batching.  A zero-rate shortcut answers loose
-budgets outright (if any constant channel on the grid is feasible, the
-minimum is exactly 0).
-The objective is `measures.GridTerms` over `HB_CR_TERMS` (or `POINT_TERMS`
-for one decoder): per channel it recomputes only the mixture entropies over
-side symbols seen from several source symbols and gathers everything else
-from per-row precomputations.
+Both public oracles build a `channels.CRProblem` and run one body,
+`_oracle`, on it; the point-to-point problem is the one-metric polytope,
+laid out as a broadcast channel whose second reconstruction has a single
+symbol.  `_oracle` takes the `simplex_grid` rows of each slice over the
+problem's `ChannelPolytope` (`_build_slices`), answers loose budgets with
+a zero-rate shortcut (a feasible constant channel makes the minimum
+exactly 0), enumerates the budget-feasible channels depth first in
+batches (`_feasible_batches`: work scales with the feasible set, memory
+with the batch size) and keeps the lexicographically smallest of the
+channels attaining the minimum (`_grid_argmin`).  The objective is
+`measures.GridTerms` over the problem's terms and side pmfs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .channels import ChannelPolytope, TestChannel
+from .channels import ChannelPolytope, CRProblem, TestChannel
 from .closed_form import DistortionPair
 from .errors import GuardExceededError, InfeasibleBudgetError, InvalidSpecError
-from .measures import HB_CR_TERMS, POINT_TERMS, GridTerms, MITerm, entropy_rows
+from .measures import GridTerms, entropy_rows
 from .prob import DistortionMetric, FinitePmf, JointSource
 
 __all__ = [
@@ -63,6 +47,7 @@ __all__ = [
 
 SLACK = 1e-12
 BATCH = 2_000_000
+SWEEP_BATCH = 50_000
 
 POINT_GUARD_DEFAULT = 10_000_000
 #: The two-decoder grid at the default step has ~5.5e8 product points for
@@ -115,23 +100,6 @@ def step_units(step: float) -> int:
     return k
 
 
-class _Grids:
-    """The grid pmf rows `simplex_grid(units, cells) / units` of one oracle
-    call, built once per cell count and shared by every slice that needs
-    them.  Nothing outlives the call."""
-
-    def __init__(self, units: int):
-        self.units = units
-        self._rows: dict[int, np.ndarray] = {}
-
-    def rows(self, cells: int) -> np.ndarray:
-        if cells not in self._rows:
-            rows = simplex_grid(self.units, cells).astype(np.float64)
-            rows /= self.units
-            self._rows[cells] = rows
-        return self._rows[cells]
-
-
 @dataclass
 class _Slice:
     """Grid rows of one conditional slice plus everything the evaluators need."""
@@ -142,18 +110,23 @@ class _Slice:
     h_row: np.ndarray        # (N,) entropy of the row
 
 
-def _build_slices(poly: ChannelPolytope, grids: _Grids, guard: int) -> list[_Slice]:
-    """One slice per source symbol x, on the cells `poly.allowed[x]` flags.
+def _build_slices(poly: ChannelPolytope, step: float, guard: int,
+                  ) -> tuple[list[_Slice], Callable[[int], np.ndarray]]:
+    """One slice per source symbol x, on the cells `poly.allowed[x]` flags,
+    and their grid: cells -> the pmf rows `simplex_grid(units, cells) / units`
+    at `step`, built once per cell count for as long as the caller keeps it.
 
     Raises GuardExceededError before any row array is built when the
     product grid has more than `guard` channels.  Slices with the same
     allowed cells share one padded row array and one row-entropy vector;
     with every cell allowed, the padded array is the grid itself.
     """
+    units = step_units(step)
+    grid = functools.cache(lambda cells: simplex_grid(units, cells) / units)
     n_full = poly.allowed.shape[1]
     prod = 1
     for n in poly.allowed.sum(axis=1):
-        prod *= math.comb(grids.units + int(n) - 1, int(n) - 1)
+        prod *= math.comb(units + int(n) - 1, int(n) - 1)
         if prod > guard:
             raise GuardExceededError(
                 f"grid has {prod}+ channels, guard is {guard}", prod, guard)
@@ -161,7 +134,7 @@ def _build_slices(poly: ChannelPolytope, grids: _Grids, guard: int) -> list[_Sli
     slices = []
     for x, allowed_x in enumerate(poly.allowed):
         cells = np.flatnonzero(allowed_x)
-        rows = grids.rows(cells.size)
+        rows = grid(cells.size)
         key = cells.tobytes()
         if key not in shared:
             padded = rows
@@ -172,24 +145,18 @@ def _build_slices(poly: ChannelPolytope, grids: _Grids, guard: int) -> list[_Sli
         padded, h_row = shared[key]
         costs = np.stack([rows @ c[x][cells] for c in poly.costs])
         slices.append(_Slice(cells=cells, padded=padded, costs=costs, h_row=h_row))
-    return slices
+    return slices, grid
 
 
-def _zero_rate_witness(slices: list[_Slice], grids: _Grids,
+def _zero_rate_witness(slices: list[_Slice], grid: Callable[[int], np.ndarray],
                        poly: ChannelPolytope) -> np.ndarray | None:
     """Feasible constant channel slice on the grid, or None."""
-    common = slices[0].cells
-    for s in slices[1:]:
-        common = np.intersect1d(common, s.cells)
+    common = functools.reduce(np.intersect1d, [s.cells for s in slices])
     if common.size == 0:
         return None
-    rows = grids.rows(common.size)
-    ok = np.ones(rows.shape[0], dtype=bool)
-    for c, budget in zip(poly.costs, poly.budgets):
-        total = np.zeros(rows.shape[0])
-        for x in range(len(slices)):
-            total += rows @ c[x][common]
-        ok &= total <= budget_limit(budget)
+    rows = grid(common.size)
+    ok = np.all([sum(rows @ c[x][common] for x in range(len(slices))) <= budget_limit(b)
+                 for c, b in zip(poly.costs, poly.budgets)], axis=0)
     hits = np.flatnonzero(ok)
     if hits.size == 0:
         return None
@@ -302,21 +269,20 @@ def _oracle_batch(n_full: int) -> int:
     return max(1, min(BATCH, BATCH * 4 // n_full))
 
 
-def _oracle(poly: ChannelPolytope, terms: tuple[MITerm, ...], px: np.ndarray,
-            p_xy_by_axis: dict[int, np.ndarray], step: float, guard: int,
-            ) -> tuple[float, np.ndarray]:
-    """Grid minimum of `terms` over the channels of `poly` at `step`, and
-    a (|X|, m1, m2) channel attaining it (`px` and `p_xy_by_axis` as in
-    `GridTerms`).  The guard bounds the number of product grid points."""
-    grids = _Grids(step_units(step))
-    slices = _build_slices(poly, grids, guard)
+def _oracle(prob: CRProblem, step: float, guard: int) -> tuple[float, np.ndarray]:
+    """Grid minimum of the sum of `prob.terms` (the oracles' problems have
+    unit weights) over the channels of `prob.poly` at `step`, and a
+    (|X|, m1, m2) channel attaining it.  The guard bounds the number of
+    product grid points."""
+    poly = prob.poly
+    slices, grid = _build_slices(poly, step, guard)
     nx, m1, m2 = poly.shape
-    row = _zero_rate_witness(slices, grids, poly)
+    row = _zero_rate_witness(slices, grid, poly)
     if row is not None:
         return 0.0, np.tile(row.reshape(1, m1, m2), (nx, 1, 1))
-    del grids   # the enumeration keeps only what the slices hold
+    del grid   # the enumeration keeps only what the slices hold
 
-    objective = GridTerms(terms, px, p_xy_by_axis, [s.padded for s in slices],
+    objective = GridTerms(prob.terms, prob.sides, [s.padded for s in slices],
                           [s.h_row for s in slices], (m1, m2))
     best, best_idx = _grid_argmin(objective, _feasible_batches(
         slices, poly.budgets, _oracle_batch(m1 * m2)))
@@ -338,10 +304,7 @@ def grid_oracle_point_cr(pair_pmf: FinitePmf, metric: DistortionMetric,
     """
     if pair_pmf.ndim != 2:
         raise InvalidSpecError("point oracle needs a 2-axis joint p(x,y)")
-    p_xy = pair_pmf.mass
-    px = p_xy.sum(axis=1)
-    return _oracle(ChannelPolytope(px, (metric,), (d,)), POINT_TERMS, px, {1: p_xy},
-                   step, guard)[0]
+    return _oracle(CRProblem.point(pair_pmf.mass, metric, d), step, guard)[0]
 
 
 def grid_oracle_hb_cr(source: JointSource, metric1: DistortionMetric,
@@ -354,30 +317,29 @@ def grid_oracle_hb_cr(source: JointSource, metric1: DistortionMetric,
     p(xh1,xh2|x) meeting both distortion budgets; returns the minimum and
     the achieving channel.
     """
-    px = source.x_marginal()
-    poly = ChannelPolytope(px, (metric1, metric2), (pair.d1, pair.d2))
-    rate, cond = _oracle(poly, HB_CR_TERMS, px,
-                         {1: source.xy1_marginal(), 2: source.xy2_marginal()}, step, guard)
+    rate, cond = _oracle(CRProblem.broadcast(source, metric1, metric2, (pair.d1, pair.d2)),
+                         step, guard)
     return rate, TestChannel(cond)
 
 
 def feasible_hb_channel_batches(
         source: JointSource, metric1: DistortionMetric,
         metric2: DistortionMetric, pair: DistortionPair, step: float,
-        guard: int = 2_000_000, batch: int = 50_000,
+        guard: int = 2_000_000,
 ) -> Iterator[np.ndarray]:
-    """Yield (B, |X|, m1, m2) tensors of budget-feasible grid channels.
+    """Yield (B, |X|, m1, m2) tensors of budget-feasible grid channels,
+    B <= `SWEEP_BATCH`.
 
     Used by the region samplers, which evaluate several rate bounds per
     channel.  Here the guard caps the number of feasible channels (the
     sweep keeps a rate point per channel), not the product grid; it is
     raised when the batch that crosses it is reached.
     """
-    poly = ChannelPolytope(source.x_marginal(), (metric1, metric2), (pair.d1, pair.d2))
-    slices = _build_slices(poly, _Grids(step_units(step)), HB_GUARD_DEFAULT)
+    poly = CRProblem.broadcast(source, metric1, metric2, (pair.d1, pair.d2)).poly
+    slices, _ = _build_slices(poly, step, HB_GUARD_DEFAULT)
     nx, m1, m2 = poly.shape
     seen = 0
-    for idx in _feasible_batches(slices, poly.budgets, batch):
+    for idx in _feasible_batches(slices, poly.budgets, SWEEP_BATCH):
         seen += idx[0].size
         if seen > guard:
             raise GuardExceededError(

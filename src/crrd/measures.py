@@ -3,7 +3,7 @@
 Every rate expression in the package is a sum of terms I(X; B | Y, D),
 where B and D are groups of reconstruction variables and Y is one of the
 side informations (or absent).  `MITerm` describes one such term; this
-module evaluates term lists in the two forms the solvers need:
+module evaluates term lists in the three forms the solvers need:
 
 * on one channel q = p(xh1, xh2 | x), with the analytic gradient used by
   projected descent.  For I(X;B|Y,D) the derivative with respect to
@@ -19,6 +19,9 @@ module evaluates term lists in the two forms the solvers need:
 
 * on batches of grid channels given as row indices, in a factored form
   (`GridTerms`), for the grid oracles and the brute-force solvers.
+
+The first and last forms read p(x, y) per side information from one dict,
+built by `side_pmfs`.
 
 `prob.conditional_mutual_information` is deliberately a separate
 implementation: it is the independent reference that the evaluators in
@@ -41,6 +44,7 @@ __all__ = [
     "HB_CR_TERMS",
     "POINT_TERMS",
     "entropy_rows",
+    "side_pmfs",
     "term_value_grad",
     "batch_joint",
     "batch_terms",
@@ -100,16 +104,23 @@ def _entropy_of(t: np.ndarray, keep: set[int]) -> float:
     return float(entropy_rows(_sum_out(t, keep).reshape(-1)))
 
 
-def term_value_grad(source: JointSource, q: np.ndarray, term: MITerm,
+def side_pmfs(source: JointSource | np.ndarray) -> dict[int | None, np.ndarray]:
+    """p(x, y) per side information, keyed like `MITerm.y_axis`.
+
+    A `JointSource` gives keys 1 and 2, a 2-axis array p(x, y) key 1 alone;
+    key None always holds p(x) as a (|X|, 1) side with one symbol.
+    """
+    if isinstance(source, JointSource):
+        return {None: source.x_marginal()[:, None], 1: source.xy1_marginal(),
+                2: source.xy2_marginal()}
+    return {None: source.sum(axis=1)[:, None], 1: source}
+
+
+def term_value_grad(sides: dict[int | None, np.ndarray], q: np.ndarray, term: MITerm,
                     ) -> tuple[float, np.ndarray]:
-    """Value and gradient (both in bits) of I(X; B | Y, D) at channel q."""
-    if term.y_axis == 1:
-        sxy = source.xy1_marginal()
-    elif term.y_axis == 2:
-        sxy = source.xy2_marginal()
-    else:
-        sxy = source.x_marginal()[:, None]   # dummy one-symbol side axis
-    px = source.x_marginal()
+    """Value and gradient (both in bits) of I(X; B | Y, D) at channel q;
+    `sides` as from `side_pmfs`."""
+    sxy, px = sides[term.y_axis], sides[None][:, 0]
     # channel axes xh1=1, xh2=2, as in q(xh1, xh2 | x) and p(y, xh1, xh2);
     # the (x, y, xh1, xh2) tensors below hold them one axis further on
     bd, d = set(term.b_axes) | set(term.cond_axes), set(term.cond_axes)
@@ -216,17 +227,16 @@ class GridTerms:
     """Sum of the terms in bits per channel of a batch given by row indices.
 
     Channel i maps x to the flattened (m1, m2) pmf `rows[x][idx[x][i]]`,
-    whose entropy is `h_rows[x]`; `p_xy_by_axis` holds p(x, y) per side
-    axis.  Each I(X;B|Y,D) expands to H(BD|Y) - H(D|Y) - H(BD|X) + H(D|X)
+    whose entropy is `h_rows[x]`; `sides` is as from `side_pmfs`.  Each
+    I(X;B|Y,D) expands to H(BD|Y) - H(D|Y) - H(BD|X) + H(D|X)
     (no D entries when D is empty) and equal entries cancel: H(Xh1|X)
     drops out of `HB_CR_TERMS`.  Y-entropies are mixture entropies over
     side symbols, X-entropies p(x)-weighted gathers; all Y-entropies are
     applied first, each group in the order the terms name them.
     """
 
-    def __init__(self, terms: tuple[MITerm, ...], px: np.ndarray,
-                 p_xy_by_axis: dict[int, np.ndarray], rows: list[np.ndarray],
-                 h_rows: list[np.ndarray], shape: tuple[int, int]):
+    def __init__(self, terms: tuple[MITerm, ...], sides: dict[int | None, np.ndarray],
+                 rows: list[np.ndarray], h_rows: list[np.ndarray], shape: tuple[int, int]):
         m1, m2 = shape
         full = frozenset((1, 2))
 
@@ -247,10 +257,9 @@ class GridTerms:
             if d:
                 side[t.y_axis, d] -= 1
                 own[d] += 1
-        p_xy = {None: px[:, None], **p_xy_by_axis}
-        self.side = [_MixEntropyTerms(p_xy[y], marg(axes), c)
+        self.side = [_MixEntropyTerms(sides[y], marg(axes), c)
                      for (y, axes), c in side.items() if c]
-        self.own = [(c * px, h_rows if axes == full
+        self.own = [(c * sides[None][:, 0], h_rows if axes == full
                      else _once_each(entropy_rows, marg(axes)))
                     for axes, c in own.items() if c]
 

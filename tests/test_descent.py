@@ -16,9 +16,10 @@ from crrd import (
     eval_hb_cr_objective,
     grid_oracle_hb_cr,
 )
+from crrd.channels import CRProblem
 from crrd.descent import _PROBES, _Feasible, _objective, descent_weighted
 from crrd.gridsearch import BATCH
-from crrd.measures import HB_CR_TERMS, MITerm, term_value_grad
+from crrd.measures import HB_CR_TERMS, MITerm, side_pmfs, term_value_grad
 from conftest import ALL_TERMS, random_channel, random_source
 
 BSPEC = BinaryErasureSpec(1.0, 0.35)
@@ -29,20 +30,20 @@ class TestTermGradients:
     @pytest.mark.parametrize("term", ALL_TERMS, ids=str)
     def test_matches_finite_differences(self, term):
         rng = np.random.default_rng(17)
-        src = random_source(rng, 2, 3, 2)
+        sides = side_pmfs(random_source(rng, 2, 3, 2))
         # interior channel so the logs are smooth
         q = np.stack([rng.dirichlet(np.full(4, 5.0)).reshape(2, 2) for _ in range(2)])
-        val, grad = term_value_grad(src, q, term)
+        val, grad = term_value_grad(sides, q, term)
         eps = 1e-6
         for x in range(2):
             for a in range(2):
                 for b in range(2):
                     qp = q.copy()
                     qp[x, a, b] += eps
-                    vp, _ = term_value_grad(src, qp, term)
+                    vp, _ = term_value_grad(sides, qp, term)
                     qm = q.copy()
                     qm[x, a, b] -= eps
-                    vm, _ = term_value_grad(src, qm, term)
+                    vm, _ = term_value_grad(sides, qm, term)
                     num = (vp - vm) / (2 * eps)
                     assert num == pytest.approx(grad[x, a, b], abs=5e-5), (x, a, b)
 
@@ -52,10 +53,10 @@ class TestTermGradients:
         ch = random_channel(rng)
         joint = crrd.compose_joint(src, ch)
         # term axes map: channel axis 1 -> joint axis 3, 2 -> 4; y1 -> 1, y2 -> 2
-        v, _ = term_value_grad(src, ch.cond, MITerm((2,), 2, (1,)))
+        v, _ = term_value_grad(side_pmfs(src), ch.cond, MITerm((2,), 2, (1,)))
         want = crrd.conditional_mutual_information(joint, (0,), (4,), (2, 3))
         assert v == pytest.approx(want, abs=1e-10)
-        v, _ = term_value_grad(src, ch.cond, MITerm((1, 2), 1))
+        v, _ = term_value_grad(side_pmfs(src), ch.cond, MITerm((1, 2), 1))
         want = crrd.conditional_mutual_information(joint, (0,), (3, 4), (1,))
         assert v == pytest.approx(want, abs=1e-10)
 
@@ -119,6 +120,78 @@ class TestDescent:
         assert res.rate <= closed + 5e-3
 
 
+class TestWeights:
+    """`descent_weighted` takes one finite weight >= 0 per term."""
+
+    @pytest.mark.parametrize("weights", [(1.0,), (1.0, 1.0, 5.0), (1.0, -1.0),
+                                         (1.0, math.nan), (1.0, math.inf)], ids=str)
+    def test_bad_weights_rejected(self, erased_full, hamming2, weights):
+        with pytest.raises(InvalidSpecError):
+            descent_weighted(erased_full, hamming2, hamming2, DistortionPair(0.2, 0.1),
+                             HB_CR_TERMS, weights, restarts=0)
+
+    def test_zero_weight_accepted(self, erased_full, hamming2):
+        res = descent_weighted(erased_full, hamming2, hamming2, DistortionPair(0.2, 0.1),
+                               HB_CR_TERMS, (1.0, 0.0), restarts=0)
+        assert res.rate >= 0.0
+
+    def test_term_side_must_be_known(self):
+        p_xy = np.array([[0.4, 0.1], [0.2, 0.3]])
+        point = CRProblem.point(p_xy, DistortionMetric.hamming(2), 0.1)
+        with pytest.raises(InvalidSpecError):
+            CRProblem(point.poly, (MITerm((1,), 2),), (1.0,), point.sides)
+
+
+def _feasible_cases():
+    """(name, polytope): one budget row (the point layout) and two."""
+    rng = np.random.default_rng(41)
+    inf = np.inf
+    metric = DistortionMetric(np.array([[0.0, 1.0, 0.5], [inf, 0.0, 1.0], [1.0, 0.3, 0.0]]))
+    yield "one-row", CRProblem.point(rng.dirichlet(np.ones(6)).reshape(3, 2),
+                                     metric, 0.2).poly
+    m2 = DistortionMetric(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 1.0]]))
+    yield "two-rows", CRProblem.broadcast(random_source(rng, 3, 2, 2), metric, m2,
+                                          (0.3, 0.35)).poly
+
+
+class TestFeasibleRows:
+    """`_Feasible` over however many budget rows its polytope has."""
+
+    @pytest.fixture(params=list(_feasible_cases()), ids=lambda case: case[0])
+    def poly(self, request):
+        return request.param[1]
+
+    @staticmethod
+    def _excess(poly, q):
+        """max_j (cost_j(q) - D_j), summed from the polytope's costs."""
+        flat = q.reshape(poly.shape[0], -1)
+        return max(sum(c[x] @ flat[x] for x in range(poly.shape[0])) - b
+                   for c, b in zip(poly.costs, poly.budgets))
+
+    def test_feasible_matches_direct_rows(self, poly):
+        feas = _Feasible(poly)
+        assert len(feas.halfspaces) == len(poly.budgets)
+        rng = np.random.default_rng(3)
+        z = np.stack([np.concatenate([rng.dirichlet(np.full(s.size, 0.2))
+                                      for s in feas.support]) for _ in range(100)])
+        want = [self._excess(poly, feas.unflatten(row)) < 1e-9 for row in z]
+        assert 0 < sum(want) < len(want), "draws on both sides of the budgets"
+        assert feas._feasible(z).tolist() == want
+
+    def test_feasible_start_meets_every_row(self, poly):
+        feas = _Feasible(poly)
+        assert self._excess(poly, feas.unflatten(feas.feasible_start())) < 1e-9
+
+    def test_projection_lands_on_slice_simplices(self, poly):
+        feas = _Feasible(poly)
+        rng = np.random.default_rng(5)
+        out = feas.project(rng.normal(size=(6, feas.dim)))
+        assert np.all(out >= 0)
+        for cols in _slice_cols(feas):
+            np.testing.assert_allclose(out[:, cols].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert feas._feasible(out).all()
+
+
 def _slice_cols(feas):
     """Flattened columns of each source symbol's slice, in symbol order."""
     return np.split(np.arange(feas.dim), np.cumsum([s.size for s in feas.support])[:-1])
@@ -178,8 +251,8 @@ def _reference_descent(source, m1, m2, pair, terms, weights, restarts, seed,
     its iterates, the last one ending on the stopping probe (None when
     max_iter is 0).
     """
-    feas = _Feasible(source, m1, m2, pair)
-    weights = np.asarray(weights, dtype=float)
+    prob = CRProblem.broadcast(source, m1, m2, (pair.d1, pair.d2), terms, weights)
+    feas = _Feasible(prob.poly)
     rng = np.random.default_rng(seed)
 
     def within_budgets(x):
@@ -192,7 +265,7 @@ def _reference_descent(source, m1, m2, pair, terms, weights, restarts, seed,
     best_val, best_z, best_start = math.inf, None, None
     stops = []
     for si, z in enumerate(starts):
-        val, grad = _objective(source, feas.unflatten(z), terms, weights)
+        val, grad = _objective(prob, feas.unflatten(z))
         step = 0.5
         stop, tried = None, []
         for _ in range(max_iter):
@@ -202,7 +275,7 @@ def _reference_descent(source, m1, m2, pair, terms, weights, restarts, seed,
             for probe in range(25):
                 z_new = _reference_project(feas, z - t * gz)
                 if within_budgets(z_new):
-                    v_new, g_new = _objective(source, feas.unflatten(z_new), terms, weights)
+                    v_new, g_new = _objective(prob, feas.unflatten(z_new))
                     if v_new < val - 1e-15:
                         break
                 t *= 0.5
@@ -237,7 +310,7 @@ class TestBatchedProjection:
         # one of them holding two slices
         m1 = DistortionMetric(np.array([[0.0, 1.0, 1.0], [inf, 0.0, 1.0], [1.0, 1.0, 0.0]]))
         m2 = DistortionMetric(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 1.0]]))
-        return _Feasible(src, m1, m2, DistortionPair(0.3, 0.25))
+        return _Feasible(CRProblem.broadcast(src, m1, m2, (0.3, 0.25)).poly)
 
     def test_halfspace_weights_are_contiguous(self, feas):
         # np.vecdot gives a strided weight row other bits than a contiguous one

@@ -251,10 +251,12 @@ _THREE_SYMBOLS = (crrd.JointSource(np.random.default_rng(3).dirichlet(np.ones(12
 
 class TestChannelBatches:
     @pytest.mark.parametrize("nx", [1, 2, 3])
-    def test_batches_are_feasible_and_complete(self, nx, erased_full, hamming2):
+    def test_batches_are_feasible_and_complete(self, nx, erased_full, hamming2,
+                                               monkeypatch):
         instance = {1: _ONE_SYMBOL, 2: (erased_full, hamming2, hamming2,
                                         DistortionPair(0.3, 0.25)), 3: _THREE_SYMBOLS}[nx]
-        batches = list(feasible_hb_channel_batches(*instance, step=0.25, batch=7))
+        monkeypatch.setattr(crrd.gridsearch, "SWEEP_BATCH", 7)
+        batches = list(feasible_hb_channel_batches(*instance, step=0.25))
         assert max(b.shape[0] for b in batches) <= 7
         got = [c.tobytes() for b in batches for c in b]
         want = {c.tobytes() for c in _direct_feasible(*instance, units=4)}
