@@ -40,9 +40,9 @@ minimum is the same real number; its last bit can differ from a full
 walk's, because the terms of a relabeled channel are summed in another
 order.
 
-The objectives are `measures.GridTerms` over the term lists in
-`crrd.measures` (`HB_CR_TERMS`, or `POINT_TERMS` for Wyner-Ziv), with the
-auxiliary in place of the reconstruction.
+Each solver validates its instance as a `channels.CRProblem` and runs
+one body, `_relaxed_min`: `measures.GridTerms` over the problem's terms
+and side pmfs, with the auxiliary in place of the reconstruction.
 
 Because every grid channel of the matching common-reconstruction oracle
 reappears here up to a relabeling (take u = xhat and identity maps),
@@ -58,13 +58,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ConRConstraint
+from .channels import ConRConstraint, CRProblem
 from .closed_form import DistortionPair
 from .errors import GuardExceededError, InfeasibleBudgetError, InvalidSpecError, \
     ShapeMismatchError
 from .gridsearch import BATCH, POINT_GUARD_DEFAULT, budget_limit, simplex_grid, step_units
-from .measures import HB_CR_TERMS, POINT_TERMS, GridTerms, entropy_rows, side_pmfs
-from .prob import DistortionMetric, FinitePmf, JointSource, check_budget
+from .measures import GridTerms, entropy_rows
+from .prob import DistortionMetric, FinitePmf, JointSource
 
 __all__ = [
     "ConRResult",
@@ -159,17 +159,6 @@ def _gather_sum(tables: list[tuple[int, np.ndarray]], block: tuple[np.ndarray, .
     return total
 
 
-def _hb_grid(sides: dict, u_caps: tuple[int, int], step: float, guard: int):
-    """Auxiliary grid rows, their canonical row indices, their U1 and U2
-    marginals and the two-decoder objective over them on `side_pmfs` sides."""
-    nx = sides[None].shape[0]
-    rows, canonical = _u_grid(nx, u_caps, step, guard)
-    objective = GridTerms(HB_CR_TERMS, sides, [rows] * nx, [entropy_rows(rows)] * nx,
-                          u_caps)
-    table = rows.reshape(-1, *u_caps)
-    return rows, canonical, table.sum(axis=2), table.sum(axis=1), objective
-
-
 def _decoder_budget_test(p_xy: np.ndarray, m_u: np.ndarray, metric: DistortionMetric,
                          limit: float):
     """`_grid_min` test: min over decoder maps of E[d(X, xhat(U,Y))] <= limit.
@@ -212,10 +201,33 @@ def _decoder_budget_test(p_xy: np.ndarray, m_u: np.ndarray, metric: DistortionMe
 
 
 def _no_message_meets(p_xy: np.ndarray, metric: DistortionMetric, limit: float) -> bool:
-    """Whether a decoder that sees only y meets `limit`: the
-    `_decoder_budget_test` of a one-symbol auxiliary."""
+    """Whether a decoder that sees only y meets `limit` (a one-symbol auxiliary)."""
     test = _decoder_budget_test(p_xy, np.ones((1, 1)), metric, limit)
     return bool(test((np.zeros(1, dtype=np.intp),) * p_xy.shape[0])[0])
+
+
+def _relaxed_min(prob: CRProblem, u_caps: tuple[int, int], step: float, guard: int,
+                 tests, zero_rate: bool = False) -> float:
+    """Grid minimum of `prob.terms` over the auxiliary channels p(u1, u2 | x)
+    with alphabets `u_caps` that pass `tests(m1_rows, m2_rows)`, the
+    `_grid_min` tests built (after the guard check) from the grid rows' U1
+    and U2 marginals: the relaxed counterpart of `gridsearch._oracle`.
+    `zero_rate` (a decoder meets its budgets with no message) answers 0."""
+    if min(u_caps) < 1:
+        raise InvalidSpecError("auxiliary caps must be >= 1")
+    if zero_rate:
+        return 0.0
+    nx = prob.poly.shape[0]
+    rows, canonical = _u_grid(nx, u_caps, step, guard)
+    objective = GridTerms(prob.terms, prob.sides, [rows] * nx, [entropy_rows(rows)] * nx,
+                          u_caps)
+    table = rows.reshape(-1, *u_caps)
+    best = _grid_min(rows, canonical, nx, objective,
+                     *tests(table.sum(axis=2), table.sum(axis=1)))
+    if not math.isfinite(best):
+        raise InfeasibleBudgetError(f"no auxiliary grid channel meets budgets "
+                                    f"{prob.poly.budgets.tolist()} at step {step}")
+    return max(0.0, best)
 
 
 def brute_force_wz(pair_pmf: FinitePmf, metric: DistortionMetric, d: float,
@@ -225,25 +237,11 @@ def brute_force_wz(pair_pmf: FinitePmf, metric: DistortionMetric, d: float,
 
     Tiny instances only; `u_cap` bounds the auxiliary alphabet.
     """
-    if pair_pmf.ndim != 2:
-        raise InvalidSpecError("need a 2-axis joint p(x,y)")
-    if u_cap < 1:
-        raise InvalidSpecError("u_cap must be >= 1")
-    check_budget("d", d)
-    p_xy = pair_pmf.mass
-    nx = p_xy.shape[0]
-    if metric.n_inputs != nx:
-        raise ShapeMismatchError("metric rows must equal |X|")
-    if _no_message_meets(p_xy, metric, budget_limit(d)):
-        return 0.0
-    rows, canonical = _u_grid(nx, (u_cap, 1), step, guard)
-    objective = GridTerms(POINT_TERMS, side_pmfs(p_xy), [rows] * nx,
-                          [entropy_rows(rows)] * nx, (u_cap, 1))
-    best = _grid_min(rows, canonical, nx, objective,
-                     _decoder_budget_test(p_xy, rows, metric, budget_limit(d)))
-    if not math.isfinite(best):
-        raise InfeasibleBudgetError(f"no auxiliary grid channel meets E[d] <= {d}")
-    return max(0.0, best)
+    prob = CRProblem.point(pair_pmf.mass, metric, d)
+    p_xy, limit = prob.sides[1], budget_limit(d)
+    return _relaxed_min(prob, (u_cap, 1), step, guard,
+                        lambda m_u, _: (_decoder_budget_test(p_xy, m_u, metric, limit),),
+                        _no_message_meets(p_xy, metric, limit))
 
 
 def brute_force_hb_nocr(source: JointSource, metric1: DistortionMetric,
@@ -253,23 +251,16 @@ def brute_force_hb_nocr(source: JointSource, metric1: DistortionMetric,
     """Grid upper bound on the two-decoder rate without the CR constraint.
 
     Minimizes I(X;U1|Y1) + I(X;U2|Y2,U1) over grid channels p(u1,u2|x)
-    with decoder maps xhat_j(u_j, y_j) chosen optimally per channel.
+    with decoder maps xhat_j(u_j, y_j) chosen optimally per channel: the HB
+    rate when Y1 is degraded w.r.t. Y2, which is not checked.
     """
-    nu1, nu2 = u_caps
-    if nu1 < 1 or nu2 < 1:
-        raise InvalidSpecError("auxiliary caps must be >= 1")
-    sides = side_pmfs(source)
-    if (_no_message_meets(sides[1], metric1, budget_limit(pair.d1))
-            and _no_message_meets(sides[2], metric2, budget_limit(pair.d2))):
-        return 0.0
-    rows, canonical, m1_rows, m2_rows, objective = _hb_grid(sides, u_caps, step, guard)
-    best = _grid_min(
-        rows, canonical, source.nx, objective,
-        _decoder_budget_test(sides[1], m1_rows, metric1, budget_limit(pair.d1)),
-        _decoder_budget_test(sides[2], m2_rows, metric2, budget_limit(pair.d2)))
-    if not math.isfinite(best):
-        raise InfeasibleBudgetError(f"no auxiliary grid channel meets budgets {pair}")
-    return max(0.0, best)
+    prob = CRProblem.broadcast(source, metric1, metric2, (pair.d1, pair.d2))
+    sides = [(prob.sides[j], metric, budget_limit(d))
+             for j, metric, d in ((1, metric1, pair.d1), (2, metric2, pair.d2))]
+    return _relaxed_min(prob, u_caps, step, guard,
+                        lambda *m_u: [_decoder_budget_test(p_xy, m, metric, limit)
+                                      for m, (p_xy, metric, limit) in zip(m_u, sides)],
+                        all(_no_message_meets(*side) for side in sides))
 
 
 @dataclass(frozen=True)
@@ -278,7 +269,6 @@ class ConRResult:
 
     rate: float
     heuristic: bool
-    u_caps: tuple[int, int]
     map_counts: tuple[int, int]
 
 
@@ -447,33 +437,30 @@ def brute_force_conr(source: JointSource, metric1: DistortionMetric,
     """Grid upper bound on the two-decoder rate with constrained
     reconstruction at the encoder.
 
-    Same objective and channel grid as `brute_force_hb_nocr`, but a
-    channel is feasible only if some decoder map meets the decoder budget
-    while also allowing an encoder map within the encoder-side budget.
-    `u_caps` below the exactness cardinalities makes this an upper bound
-    whose tightness is the caller's responsibility to document.
+    Same objective (and hypothesis) and channel grid as
+    `brute_force_hb_nocr`, but a channel is feasible only if some decoder
+    map meets the decoder budget while also allowing an encoder map within
+    the encoder-side budget.  `u_caps` below the exactness cardinalities
+    makes this an upper bound whose tightness is the caller's
+    responsibility to document.
     """
-    nu1, nu2 = u_caps
-    if nu1 < 1 or nu2 < 1:
-        raise InvalidSpecError("auxiliary caps must be >= 1")
-    if conr.metric_e1.n_inputs != metric1.n_outputs:
-        raise ShapeMismatchError("metric_e1 must act on the first reconstruction alphabet")
-    if conr.metric_e2.n_inputs != metric2.n_outputs:
-        raise ShapeMismatchError("metric_e2 must act on the second reconstruction alphabet")
-    sides = side_pmfs(source)
-    px, p_xy1, p_xy2 = sides[None][:, 0], sides[1], sides[2]
-    rows, canonical, m1_rows, m2_rows, objective = _hb_grid(sides, u_caps, step, guard)
+    prob = CRProblem.broadcast(source, metric1, metric2, (pair.d1, pair.d2))
+    px = prob.sides[None][:, 0]
+    sides = ((prob.sides[1], metric1, conr.metric_e1, pair.d1, conr.de1),
+             (prob.sides[2], metric2, conr.metric_e2, pair.d2, conr.de2))
+    for j, (_, metric, metric_e, _, _) in enumerate(sides, 1):
+        if metric_e.n_inputs != metric.n_outputs:
+            raise ShapeMismatchError(f"metric_e{j} must act on reconstruction alphabet {j}")
+    maps = []   # (map count, heuristic) per decoder
 
-    maps1, heur1 = _decoder_maps(nu1, source.ny1, metric1.n_outputs, map_budget)
-    maps2, heur2 = _decoder_maps(nu2, source.ny2, metric2.n_outputs, map_budget)
-    cd1, ce1 = _conr_cost_tables(maps1, p_xy1, px, metric1, conr.metric_e1)
-    cd2, ce2 = _conr_cost_tables(maps2, p_xy2, px, metric2, conr.metric_e2)
-
-    best = _grid_min(
-        rows, canonical, source.nx, objective,
-        _side_test(m1_rows, cd1, ce1, budget_limit(pair.d1), budget_limit(conr.de1)),
-        _side_test(m2_rows, cd2, ce2, budget_limit(pair.d2), budget_limit(conr.de2)))
-    if not math.isfinite(best):
-        raise InfeasibleBudgetError("no auxiliary grid channel meets the ConR budgets")
-    return ConRResult(rate=max(0.0, best), heuristic=heur1 or heur2,
-                      u_caps=u_caps, map_counts=(maps1.shape[0], maps2.shape[0]))
+    def tests(*m_u):
+        out = []
+        for m, nu, (p_xy, metric, metric_e, d, de) in zip(m_u, u_caps, sides):
+            found, heuristic = _decoder_maps(nu, p_xy.shape[1], metric.n_outputs, map_budget)
+            maps.append((found.shape[0], heuristic))
+            cd, ce = _conr_cost_tables(found, p_xy, px, metric, metric_e)
+            out.append(_side_test(m, cd, ce, budget_limit(d), budget_limit(de)))
+        return out
+    rate = _relaxed_min(prob, u_caps, step, guard, tests)
+    return ConRResult(rate=rate, heuristic=maps[0][1] or maps[1][1],
+                      map_counts=(maps[0][0], maps[1][0]))

@@ -145,7 +145,10 @@ class CRProblem:
     sides: dict[int | None, np.ndarray]
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        try:
+            w = np.asarray(self.weights, dtype=np.float64)
+        except (TypeError, ValueError):   # not numbers, or ragged
+            w = np.array(np.nan)
         if w.shape != (len(self.terms),) or not np.all(np.isfinite(w) & (w >= 0)):
             raise InvalidSpecError(f"need one finite weight >= 0 per term, got "
                                    f"{len(self.terms)} terms and weights {self.weights!r}")
@@ -164,7 +167,9 @@ class CRProblem:
 
     @classmethod
     def point(cls, p_xy: np.ndarray, metric: DistortionMetric, d: float) -> "CRProblem":
-        """I(X;Xh|Y) subject to E[d(X, Xh)] <= d, in the (|X|, m, 1) layout."""
+        """I(X;Xh|Y) s.t. E[d(X, Xh)] <= d for a 2-axis p_xy, in the (|X|, m, 1) layout."""
+        if np.ndim(p_xy) != 2:
+            raise InvalidSpecError("need a 2-axis joint p(x,y)")
         sides = side_pmfs(p_xy)
         return cls(ChannelPolytope(sides[None][:, 0], (metric,), (d,)),
                    POINT_TERMS, (1.0,), sides)

@@ -227,6 +227,24 @@ def _finite_instance(spec: dict):
             _custom_entry(model, "metric2", DistortionMetric.from_json))
 
 
+def _hb_instance(spec: dict) -> tuple:
+    """(source, metric1, metric2) in the HB solvers' order (Y1 degraded w.r.t.
+    Y2), a function putting per-decoder pairs in that order, and the JSON
+    meta of the hypothesis: none for binary-erased models (degraded by design);
+    a custom source degraded neither way as given or Y-swapped keeps its order."""
+    src, m1, m2 = _finite_instance(spec)
+    if spec["model"]["kind"] != "custom":
+        return src, m1, m2, lambda a, b: (a, b), {}
+    swapped = JointSource(src.mass.transpose(0, 2, 1))
+    given, other = (check_stochastic_degradedness(s) for s in (src, swapped))
+    if other.feasible and not given.feasible:
+        return swapped, m2, m1, lambda a, b: (b, a), {"degraded_order": "x-y1-y2",
+                                                      "violation_tv": other.violation}
+    return src, m1, m2, lambda a, b: (a, b), {
+        "degraded_order": "x-y2-y1" if given.feasible else "none",
+        "violation_tv": given.violation}
+
+
 def _point_instance(spec: dict) -> tuple[FinitePmf, DistortionMetric]:
     """(pair pmf, metric) for the point-to-point grid and Wyner-Ziv solvers."""
     model = spec["model"]
@@ -295,24 +313,28 @@ def run_hb_cr(spec: dict) -> dict:
     step = _get(spec, "step", 0.02)
     restarts = _get(spec, "restarts", 8, int)
     seed = _get(spec, "seed", 0, int)
+    src, m1, m2, order, meta = (_hb_instance(spec) if solvers != ["closed_form"]
+                                else (None, None, None, None, {}))
     rows = []
     for value in values:
         pair = _budget_pair(spec, var, value)
         for solver in solvers:
-            flag = ""
             if solver == "closed_form":
                 rate, label = _closed_form(spec, "hb", pair)
                 flag = label.value
             else:
-                src, m1, m2 = _finite_instance(spec)
+                flag = "not_degraded" if meta.get("degraded_order") == "none" else ""
+                budget = DistortionPair(*order(pair.d1, pair.d2))
                 if solver == "grid":
-                    rate, _ = grid_oracle_hb_cr(src, m1, m2, pair, step,
+                    rate, _ = grid_oracle_hb_cr(src, m1, m2, budget, step,
                                                 guard=_get(spec, "guard", HB_GUARD_DEFAULT, int))
                 else:
-                    rate = descent_hb_cr(src, m1, m2, pair, restarts=restarts, seed=seed,
+                    rate = descent_hb_cr(src, m1, m2, budget, restarts=restarts, seed=seed,
                                          init=_binary_seed_channel(spec, pair)).rate
             rows.append([var, value, rate, solver, flag])
-    return _doc("hb-cr", spec, _SCALAR_COLUMNS, rows)
+    doc = _doc("hb-cr", spec, _SCALAR_COLUMNS, rows)
+    doc["meta"].update(meta)
+    return doc
 
 
 def _boundary_rows(region, solver: str, provenance: str = "") -> list[list]:
@@ -405,28 +427,33 @@ def run_cascade_cr(spec: dict) -> dict:
 
 
 def run_conr(spec: dict) -> dict:
-    src, m1, m2 = _finite_instance(spec)
+    src, m1, m2, order, meta = _hb_instance(spec)
     var, values = _sweep_values(spec)
     step = _get(spec, "step", 0.05)
     caps = (_get(spec, "u1_cap", 2, int), _get(spec, "u2_cap", 2, int))
     de1 = _get(spec, "de1", 0.0)
     de2 = _get(spec, "de2", 0.0)
-    conr = ConRConstraint(de1, de2,
+    conr = ConRConstraint(*order(de1, de2),
                           DistortionMetric.hamming(m1.n_outputs),
                           DistortionMetric.hamming(m2.n_outputs))
     exact_caps = (src.nx + 4, (src.nx + 2) ** 2)
+    solver_caps = order(*caps)
     rows = []
     for value in values:
         pair = _budget_pair(spec, var, value)
-        res = brute_force_conr(src, m1, m2, pair, conr, u_caps=caps, step=step,
+        res = brute_force_conr(src, m1, m2, DistortionPair(*order(pair.d1, pair.d2)),
+                               conr, u_caps=solver_caps, step=step,
                                map_budget=_get(spec, "map_budget", 1_000_000, int))
         flags = []
         if res.heuristic:
             flags.append("heuristic")
-        if caps[0] < exact_caps[0] or caps[1] < exact_caps[1]:
+        if solver_caps[0] < exact_caps[0] or solver_caps[1] < exact_caps[1]:
             flags.append("caps_reduced")
+        if meta.get("degraded_order") == "none":
+            flags.append("not_degraded")
         rows.append([var, value, res.rate, "brute_force", ",".join(flags)])
     doc = _doc("conr", spec, _SCALAR_COLUMNS, rows)
+    doc["meta"].update(meta)
     doc["meta"]["u_caps"] = list(caps)
     doc["meta"]["exact_caps"] = list(exact_caps)
     doc["meta"]["de"] = [de1, de2]
@@ -434,16 +461,19 @@ def run_conr(spec: dict) -> dict:
 
 
 def run_hb_nocr(spec: dict) -> dict:
-    src, m1, m2 = _finite_instance(spec)
+    src, m1, m2, order, meta = _hb_instance(spec)
     var, values = _sweep_values(spec)
     step = _get(spec, "step", 0.05)
     caps = (_get(spec, "u1_cap", 2, int), _get(spec, "u2_cap", 2, int))
+    flag = "not_degraded" if meta.get("degraded_order") == "none" else ""
     rows = []
     for value in values:
         pair = _budget_pair(spec, var, value)
-        rate = brute_force_hb_nocr(src, m1, m2, pair, u_caps=caps, step=step)
-        rows.append([var, value, rate, "brute_force", ""])
+        rate = brute_force_hb_nocr(src, m1, m2, DistortionPair(*order(pair.d1, pair.d2)),
+                                   u_caps=order(*caps), step=step)
+        rows.append([var, value, rate, "brute_force", flag])
     doc = _doc("hb-nocr", spec, _SCALAR_COLUMNS, rows)
+    doc["meta"].update(meta)
     doc["meta"]["u_caps"] = list(caps)
     return doc
 

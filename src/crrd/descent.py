@@ -321,7 +321,7 @@ def descent_hb_cr(source: JointSource, metric1: DistortionMetric,
                   metric2: DistortionMetric, pair: DistortionPair,
                   restarts: int = 20, tol: float = 1e-6, seed: int = 0,
                   init: TestChannel | None = None) -> DescentResult:
-    """Multistart descent on the broadcast CR objective."""
+    """Multistart descent on `grid_oracle_hb_cr`'s objective (same hypothesis)."""
     return descent_weighted(source, metric1, metric2, pair,
                             HB_CR_TERMS, (1.0, 1.0), restarts=restarts,
                             tol=tol, seed=seed, init=init)

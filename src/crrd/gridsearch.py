@@ -302,8 +302,6 @@ def grid_oracle_point_cr(pair_pmf: FinitePmf, metric: DistortionMetric,
     simplex grid of resolution `step` per conditional slice; the guard
     bounds the number of product grid points.
     """
-    if pair_pmf.ndim != 2:
-        raise InvalidSpecError("point oracle needs a 2-axis joint p(x,y)")
     return _oracle(CRProblem.point(pair_pmf.mass, metric, d), step, guard)[0]
 
 
@@ -313,9 +311,9 @@ def grid_oracle_hb_cr(source: JointSource, metric1: DistortionMetric,
                       ) -> tuple[float, TestChannel]:
     """Exhaustive-grid minimum of the two-decoder CR objective.
 
-    Minimizes I(X;Xh1|Y1) + I(X;Xh2|Y2,Xh1) over grid channels
-    p(xh1,xh2|x) meeting both distortion budgets; returns the minimum and
-    the achieving channel.
+    Minimizes I(X;Xh1|Y1) + I(X;Xh2|Y2,Xh1), the HB CR rate when Y1 is
+    degraded w.r.t. Y2 (not checked), over grid channels p(xh1,xh2|x)
+    meeting both budgets; returns the minimum and the achieving channel.
     """
     rate, cond = _oracle(CRProblem.broadcast(source, metric1, metric2, (pair.d1, pair.d2)),
                          step, guard)

@@ -185,6 +185,59 @@ class TestConR:
                              u_caps=(2, 2), step=0.1)
 
 
+class TestInstanceValidation:
+    """Every relaxed solver validates its instance through `CRProblem`."""
+
+    @pytest.mark.parametrize("wrong", [0, 1], ids=["metric1", "metric2"])
+    def test_metric_rows_must_match_source(self, erased_full, hamming2, wrong):
+        metrics = [hamming2, hamming2]
+        metrics[wrong] = DistortionMetric.hamming(3)
+        conr = ConRConstraint(0.1, 0.1, *(DistortionMetric.hamming(m.n_outputs)
+                                          for m in metrics))
+        pair = DistortionPair(0.2, 0.1)
+        with pytest.raises(crrd.ShapeMismatchError):
+            brute_force_hb_nocr(erased_full, *metrics, pair, step=0.25)
+        with pytest.raises(crrd.ShapeMismatchError):
+            brute_force_conr(erased_full, *metrics, pair, conr, step=0.25)
+
+    def test_caps_checked_before_zero_rate(self, erased_full, hamming2):
+        loose = DistortionPair(1.0, 1.0)
+        with pytest.raises(crrd.InvalidSpecError):
+            brute_force_hb_nocr(erased_full, hamming2, hamming2, loose, u_caps=(0, 2))
+        with pytest.raises(crrd.InvalidSpecError):
+            brute_force_wz(erased_pair_pmf(0.35), hamming2, 1.0, u_cap=0, step=0.5)
+
+    def test_point_problems_need_two_axes(self, erased_full, hamming2):
+        with pytest.raises(crrd.InvalidSpecError):
+            brute_force_wz(erased_full.pmf, hamming2, 0.1, u_cap=2, step=0.5)
+        with pytest.raises(crrd.InvalidSpecError):
+            grid_oracle_point_cr(erased_full.pmf, hamming2, 0.1, step=0.5)
+
+    def test_conr_maps_wait_for_the_guard(self, erased_full, hamming2, conr_zero,
+                                          monkeypatch):
+        def enumerate_maps(*args):
+            raise AssertionError("decoder maps enumerated before the guard check")
+        monkeypatch.setattr(crrd.bruteforce, "_decoder_maps", enumerate_maps)
+        with pytest.raises(GuardExceededError):
+            brute_force_conr(erased_full, hamming2, hamming2, DistortionPair(0.1, 0.05),
+                             conr_zero, guard=1)
+
+
+def test_solvers_stay_literal_on_reversed_sources(hamming2):
+    # the erased source (0.6, 0.1) with its Y axes swapped: X - Y1 - Y2.  The
+    # solver minimizes the fixed-order objective, below decoder 2's Wyner-Ziv
+    # floor 0.6 (1 - h(0.1 / 0.6)); with the roles swapped (what the CLI
+    # does) it is back above it
+    erased = crrd.build_erased_source(crrd.BinaryErasureSpec(0.6, 0.1))
+    reversed_src = crrd.JointSource(erased.mass.transpose(0, 2, 1))
+    floor = 0.6 * (1 - crrd.binary_entropy(0.1 / 0.6))
+    pair = DistortionPair(0.1, 0.1)
+    literal = brute_force_hb_nocr(reversed_src, hamming2, hamming2, pair, step=0.05)
+    swapped = brute_force_hb_nocr(erased, hamming2, hamming2, pair, step=0.05)
+    assert literal < floor - 0.1
+    assert swapped >= floor - 1e-12
+
+
 # --------------------------------------------------------------------------
 # Reference solvers for the block-feasibility tests: channels enumerated with
 # itertools.product, decoder maps picked cell by cell (ConR: every map), and

@@ -218,7 +218,9 @@ _SPEC_FIELDS = {
         "gaussian:4,2,3", "gaussian:4,3", "binary-erased:0.35,1",
         "binary-erased:1.5", "binary-erased:nan,0.3", "gaussian:-1,2,3",
         "gaussian:4", "binary-erased:x", "nonsense:1", "custom:/nonexistent.json",
-        "noseparator", 5, None]),
+        "noseparator", 5, None,
+        # `_custom_sources` by HB order, written by `_assert_exit_documented`
+        "custom:{assumed}", "custom:{reversed}", "custom:{neither}"]),
     "d1": _BUDGET,
     "d2": _BUDGET,
     "de1": _BUDGET,
@@ -272,6 +274,21 @@ _REGION_SPECS = st.tuples(_REGION_BASE, st.fixed_dictionaries({}, optional={
 })).map(lambda specs: {**specs[0], **specs[1]})
 
 
+# The commands that decide the HB order, on custom models of both orders and
+# of neither: a valid base spec with drawn overrides, so that many draws
+# solve.
+_CUSTOM_SPECS = st.tuples(st.fixed_dictionaries({
+    "model": st.sampled_from(["custom:{assumed}", "custom:{reversed}", "custom:{neither}"]),
+    "d1": st.floats(min_value=0.0, max_value=0.6),
+    "d2": st.floats(min_value=0.0, max_value=0.6),
+    "step": st.sampled_from([0.25, 0.5]),
+    "solver": st.sampled_from(["grid", "descent", "both"]),
+    "restarts": st.integers(min_value=0, max_value=1),
+}), st.fixed_dictionaries({}, optional={
+    k: v for k, v in _SPEC_FIELDS.items() if k not in ("model", "solver", "restarts")
+})).map(lambda specs: {**specs[0], **specs[1]})
+
+
 # Figure presets: valid and invalid ids and steps, coarse steps only, so a
 # figure-8 draw runs ten small brute-force solves.
 _FIGURE_SPECS = st.fixed_dictionaries({
@@ -288,6 +305,8 @@ def _assert_exit_documented(tmp_path_factory, command, spec, data):
     """Put a drawn subset of the spec on argv, the rest in a spec file."""
     on_argv = data.draw(st.lists(st.sampled_from(sorted(spec)), unique=True))
     path = tmp_path_factory.mktemp("spec") / "spec.json"
+    if str(spec.get("model")).startswith("custom:{"):
+        spec = {**spec, "model": spec["model"].format(**_write_custom_models(path.parent))}
     path.write_text(json.dumps({k: v for k, v in spec.items() if k not in on_argv}))
     argv = [command, "--spec", str(path)]
     for key in on_argv:
@@ -301,6 +320,12 @@ class TestExitCodeContract:
            spec=_SPECS, data=st.data())
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_exit_code_always_documented(self, tmp_path_factory, command, spec, data):
+        _assert_exit_documented(tmp_path_factory, command, spec, data)
+
+    @given(command=st.sampled_from(["hb-cr", "hb-nocr", "conr"]), spec=_CUSTOM_SPECS,
+           data=st.data())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_hb_order_exit_code_documented(self, tmp_path_factory, command, spec, data):
         _assert_exit_documented(tmp_path_factory, command, spec, data)
 
     @given(spec=_FIGURE_SPECS, data=st.data())
@@ -338,6 +363,120 @@ class TestDegradedness:
         parsed = json.loads(out)
         assert parsed["rows"][0][4] == "infeasible"
         assert parsed["meta"]["violation_tv"] > 1e-3
+
+
+def _custom_sources() -> dict:
+    """Custom-model sources by HB order: the erased pair (0.6, 0.1) as built
+    (Y1 degraded w.r.t. Y2), with its Y axes swapped (X - Y1 - Y2), and one
+    degraded neither way (Y1 erases X w.p. 0.5, Y2 flips it w.p. 0.1)."""
+    erased = crrd.build_erased_source(crrd.BinaryErasureSpec(0.6, 0.1))
+    neither = np.einsum("x,xa,xb->xab", [0.5, 0.5], [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5]],
+                        [[0.9, 0.1], [0.1, 0.9]])
+    return {"assumed": erased, "reversed": crrd.JointSource(erased.mass.transpose(0, 2, 1)),
+            "neither": crrd.JointSource(neither)}
+
+
+def _write_custom_models(directory, metric1=None) -> dict:
+    """Model file path per `_custom_sources` name; the files also carry the
+    point-to-point entries, so every command can read them."""
+    ham = json.loads(crrd.DistortionMetric.hamming(2).to_json())
+    paths = {}
+    for name, src in _custom_sources().items():
+        paths[name] = directory / f"{name}.json"
+        paths[name].write_text(json.dumps({
+            "source": json.loads(src.to_json()), "metric1": metric1 or ham, "metric2": ham,
+            "pair_pmf": {"alphabets": list(src.xy1_marginal().shape),
+                         "pmf": src.xy1_marginal().ravel().tolist()},
+            "metric": ham}))
+    return paths
+
+
+@pytest.fixture(scope="module")
+def custom_models(tmp_path_factory):
+    return _write_custom_models(tmp_path_factory.mktemp("models"))
+
+
+class TestHbOrder:
+    """hb-cr, hb-nocr and conr solve in the order the source is degraded."""
+
+    def _json(self, capsys, argv):
+        rc, out, err = run_cli(argv + ["--format", "json"], capsys)
+        assert rc == 0, err
+        return json.loads(out)
+
+    def test_reversed_source_swaps_the_decoders(self, custom_models, capsys):
+        doc = self._json(capsys, ["hb-cr", "--model", f"custom:{custom_models['reversed']}",
+                                  "--d1", "0.05", "--d2", "0.2", "--solver", "grid",
+                                  "--step", "0.05"])
+        ham = crrd.DistortionMetric.hamming(2)
+        want, _ = crrd.grid_oracle_hb_cr(_custom_sources()["assumed"], ham, ham,
+                                         crrd.DistortionPair(0.2, 0.05), 0.05)
+        rate = doc["rows"][0][2]
+        assert rate == pytest.approx(want, abs=1e-12)
+        # decoder 2 alone (erasure 0.6, d2 = 0.2) needs this much
+        assert rate >= crrd.rcr_point_binary(0.2, 0.6, crrd.BinaryMetric.HAMMING) - 1e-12
+        assert doc["meta"]["degraded_order"] == "x-y1-y2"
+        assert doc["meta"]["violation_tv"] < 1e-9
+        assert doc["rows"][0][4] == ""
+
+    def test_reversed_nocr_meets_decoder_2_floor(self, custom_models, capsys):
+        doc = self._json(capsys, ["hb-nocr", "--model", f"custom:{custom_models['reversed']}",
+                                  "--d1", "0.1", "--d2", "0.1", "--step", "0.05"])
+        # decoder 2's Wyner-Ziv rate 0.6 (1 - h(0.1 / 0.6)) = 0.209987
+        assert doc["rows"][0][2] >= 0.6 * (1 - crrd.binary_entropy(0.1 / 0.6)) - 1e-12
+
+    def test_reversed_conr_swaps_budgets_and_caps(self, custom_models, capsys):
+        doc = self._json(capsys, ["conr", "--model", f"custom:{custom_models['reversed']}",
+                                  "--d1", "0.2", "--d2", "0.1", "--de1", "0.1", "--de2", "0.2",
+                                  "--u1-cap", "1", "--u2-cap", "2", "--step", "0.25"])
+        ham = crrd.DistortionMetric.hamming(2)
+        want = crrd.brute_force_conr(_custom_sources()["assumed"], ham, ham,
+                                     crrd.DistortionPair(0.1, 0.2),
+                                     crrd.ConRConstraint(0.2, 0.1, ham, ham),
+                                     u_caps=(2, 1), step=0.25)
+        assert doc["rows"][0][2] == want.rate
+        assert doc["meta"]["u_caps"] == [1, 2] and doc["meta"]["de"] == [0.1, 0.2]
+
+    def test_assumed_order_keeps_the_decoders(self, custom_models, capsys):
+        doc = self._json(capsys, ["hb-cr", "--model", f"custom:{custom_models['assumed']}",
+                                  "--d1", "0.2", "--d2", "0.05", "--solver", "grid",
+                                  "--step", "0.05"])
+        ham = crrd.DistortionMetric.hamming(2)
+        want, _ = crrd.grid_oracle_hb_cr(_custom_sources()["assumed"], ham, ham,
+                                         crrd.DistortionPair(0.2, 0.05), 0.05)
+        assert doc["rows"][0][2] == want
+        assert doc["meta"]["degraded_order"] == "x-y2-y1"
+
+    @pytest.mark.parametrize("argv", [
+        ["hb-cr", "--solver", "grid", "--step", "0.25"],
+        ["hb-cr", "--solver", "descent", "--restarts", "1"],
+        ["hb-nocr", "--step", "0.25"],
+        ["conr", "--de1", "0.2", "--de2", "0.2", "--step", "0.25"],
+    ], ids=["hb-cr-grid", "hb-cr-descent", "hb-nocr", "conr"])
+    def test_neither_way_is_flagged(self, custom_models, capsys, argv):
+        argv = argv + ["--model", f"custom:{custom_models['neither']}", "--d1", "0.2",
+                       "--d2", "0.2"]
+        doc = self._json(capsys, argv)
+        assert "not_degraded" in doc["rows"][0][4].split(",")
+        assert doc["meta"]["degraded_order"] == "none"
+        assert doc["meta"]["violation_tv"] > 1e-3
+        rc, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+        assert rc == 0
+        assert out.strip().split("\n")[1].endswith("not_degraded")
+
+    def test_binary_erased_output_has_no_order_meta(self, capsys):
+        doc = self._json(capsys, ["hb-nocr", "--model", "binary-erased:1,0.35",
+                                  "--d1", "0.2", "--d2", "0.1", "--step", "0.25"])
+        assert "degraded_order" not in doc["meta"] and doc["rows"][0][4] == ""
+
+    @pytest.mark.parametrize("command", ["hb-nocr", "conr"])
+    def test_metric_rows_must_match_source(self, tmp_path, capsys, command):
+        paths = _write_custom_models(
+            tmp_path, json.loads(crrd.DistortionMetric.hamming(3).to_json()))
+        rc, out, err = run_cli([command, "--model", f"custom:{paths['assumed']}",
+                                "--d1", "0.2", "--d2", "0.1", "--step", "0.25"], capsys)
+        assert rc == 2 and out == ""
+        assert "metric rows must equal |X|" in err
 
 
 class TestDeterminism:

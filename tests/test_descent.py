@@ -124,7 +124,8 @@ class TestWeights:
     """`descent_weighted` takes one finite weight >= 0 per term."""
 
     @pytest.mark.parametrize("weights", [(1.0,), (1.0, 1.0, 5.0), (1.0, -1.0),
-                                         (1.0, math.nan), (1.0, math.inf)], ids=str)
+                                         (1.0, math.nan), (1.0, math.inf), ("a", 1.0),
+                                         ([1, 2], 1.0)], ids=str)
     def test_bad_weights_rejected(self, erased_full, hamming2, weights):
         with pytest.raises(InvalidSpecError):
             descent_weighted(erased_full, hamming2, hamming2, DistortionPair(0.2, 0.1),

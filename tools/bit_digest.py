@@ -11,7 +11,8 @@ a copy placed in another checkout digests that checkout:
 
 Rates are printed as the `repr` of a Python float (every bit), channels
 and CLI output as sha256 prefixes of their bytes.  Only public `crrd`
-names are called.  Runs in about 15 s on 2 cores.
+names are called.  The CLI records of custom models read model files
+that the script writes to a temporary directory.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -112,6 +114,16 @@ def brute_force(inst) -> None:
     pmf = crrd.FinitePmf(src.xy1_marginal())
     got = _error(lambda: crrd.brute_force_wz(pmf, m1, pair.d1, u_cap=2, step=0.1))
     _emit("brute_force_wz", name, rate=repr(got))
+    for de in (0.0, 0.1, 0.3):
+        conr = crrd.ConRConstraint(de, de, crrd.DistortionMetric.hamming(m1.n_outputs),
+                                   crrd.DistortionMetric.hamming(m2.n_outputs))
+        for budget in (1_000_000, 10):
+            res = _error(lambda: crrd.brute_force_conr(src, m1, m2, pair, conr, step=0.25,
+                                                       map_budget=budget))
+            _emit("brute_force_conr", f"{name}-de{de}-maps{budget}",
+                  **({"error": res} if isinstance(res, str) else
+                     {"rate": repr(res.rate), "heuristic": res.heuristic,
+                      "map_counts": list(res.map_counts)}))
 
 
 def _points(region) -> list:
@@ -164,14 +176,47 @@ _CLI = (
 )
 
 
+def _custom_models():
+    """(name, model file contents): the erased source (0.6, 0.1) with its Y
+    axes swapped, so that X - Y1 - Y2 holds (degraded the other way round),
+    and a source degraded neither way: Y1 erases X with probability 0.5,
+    Y2 flips it with probability 0.1."""
+    erased = crrd.build_erased_source(crrd.BinaryErasureSpec(0.6, 0.1))
+    neither = np.einsum("x,xa,xb->xab", np.array([0.5, 0.5]),
+                        np.array([[0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]), _bsc(0.1))
+    ham = json.loads(crrd.DistortionMetric.hamming(2).to_json())
+    for name, mass in (("reversed", erased.mass.transpose(0, 2, 1)), ("neither", neither)):
+        yield name, {"source": json.loads(crrd.JointSource(mass).to_json()),
+                     "metric1": ham, "metric2": ham}
+
+
+_CUSTOM_CLI = (
+    ["hb-cr", "--d1", "0.05", "--d2", "0.2", "--solver", "grid", "--step", "0.05"],
+    ["hb-cr", "--d1", "0.1", "--d2", "0.1", "--solver", "descent", "--restarts", "2"],
+    ["hb-nocr", "--d1", "0.1", "--d2", "0.1", "--step", "0.25"],
+    ["conr", "--d1", "0.2", "--d2", "0.1", "--de1", "0.1", "--de2", "0.2", "--step", "0.25"],
+)
+
+
+def _cli_record(argv: list, case: str) -> None:
+    for fmt in ("csv", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(argv + ["--format", fmt])
+        _emit("cli", f"{case} --format {fmt}", rc=rc, stdout=_sha(out.getvalue().encode()))
+
+
 def cli_runs() -> None:
     for argv in _CLI:
-        for fmt in ("csv", "json"):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                rc = cli.main(argv + ["--format", fmt])
-            _emit("cli", " ".join(argv + ["--format", fmt]), rc=rc,
-                  stdout=_sha(out.getvalue().encode()))
+        _cli_record(argv, " ".join(argv))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in _custom_models():
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for argv in _CUSTOM_CLI:
+                _cli_record(argv + ["--model", f"custom:{path}"],
+                            " ".join(argv + ["--model", f"custom:{name}"]))
 
 
 def main() -> None:
