@@ -217,30 +217,37 @@ def _source(model: dict) -> JointSource:
 
 
 def _finite_instance(spec: dict):
-    """(source, metric1, metric2) for grid/descent solvers."""
+    """(source, metric1, metric2) for grid/descent solvers.  A custom model's
+    metric rows follow the file's X alphabet; the rows of the symbols that
+    `JointSource` prunes (p(x) = 0) go with them."""
     model = spec["model"]
     src = _source(model)
     if model["kind"] == "binary":
         met = _metric_objects(_binary_metric(spec))
         return src, met, met
-    return (src, _custom_entry(model, "metric1", DistortionMetric.from_json),
-            _custom_entry(model, "metric2", DistortionMetric.from_json))
+    px = _custom_entry(model, "source", FinitePmf.from_json).mass.sum(axis=(1, 2))
+    metrics = [_custom_entry(model, key, DistortionMetric.from_json)
+               for key in ("metric1", "metric2")]
+    if any(m.n_inputs != px.size for m in metrics):
+        raise InvalidSpecError(f"metric rows must equal |X| = {px.size} of the source file")
+    return (src, *(DistortionMetric(m.matrix[px > 0]) for m in metrics))
 
 
 def _hb_instance(spec: dict) -> tuple:
     """(source, metric1, metric2) in the HB solvers' order (Y1 degraded w.r.t.
-    Y2), a function putting per-decoder pairs in that order, and the JSON
-    meta of the hypothesis: none for binary-erased models (degraded by design);
-    a custom source degraded neither way as given or Y-swapped keeps its order."""
+    Y2), a function putting per-decoder pairs in that order, the row flag and
+    the JSON meta of the hypothesis: none for binary-erased models (degraded
+    by design); a custom source degraded neither way as given or Y-swapped
+    keeps its order and flags its rows `not_degraded`."""
     src, m1, m2 = _finite_instance(spec)
     if spec["model"]["kind"] != "custom":
-        return src, m1, m2, lambda a, b: (a, b), {}
+        return src, m1, m2, lambda a, b: (a, b), "", {}
     swapped = JointSource(src.mass.transpose(0, 2, 1))
     given, other = (check_stochastic_degradedness(s) for s in (src, swapped))
     if other.feasible and not given.feasible:
-        return swapped, m2, m1, lambda a, b: (b, a), {"degraded_order": "x-y1-y2",
-                                                      "violation_tv": other.violation}
-    return src, m1, m2, lambda a, b: (a, b), {
+        return swapped, m2, m1, lambda a, b: (b, a), "", {
+            "degraded_order": "x-y1-y2", "violation_tv": other.violation}
+    return src, m1, m2, lambda a, b: (a, b), "" if given.feasible else "not_degraded", {
         "degraded_order": "x-y2-y1" if given.feasible else "none",
         "violation_tv": given.violation}
 
@@ -289,52 +296,57 @@ def _closed_form(spec: dict, kind: str, budget: Any) -> Any:
     raise InvalidSpecError("closed form needs a gaussian or binary-erased model")
 
 
-def run_point_cr(spec: dict) -> dict:
+def _caps(spec: dict) -> tuple[int, int]:
+    """The spec's (u1_cap, u2_cap) auxiliary cardinalities, default (2, 2)."""
+    return _get(spec, "u1_cap", 2, int), _get(spec, "u2_cap", 2, int)
+
+
+def _scalar_doc(command: str, spec: dict, solvers: list[str],
+                solve: Callable[[str, Any], tuple[float, str]], **meta: Any) -> dict:
+    """The scalar table: one row per sweep value and solver, in that order.
+    `solve(solver, budget)` returns (rate, flag); the budget is d1 for the
+    point-to-point commands, which sweep d1 only, and the pair otherwise."""
     var, values = _sweep_values(spec)
-    if var != "d1":
-        raise InvalidSpecError("point-cr sweeps d1 only")
+    point = command in ("point-cr", "wz")
+    if point and var != "d1":
+        raise InvalidSpecError(f"{command} sweeps d1 only")
     rows = []
+    for value in values:
+        budget = value if point else _budget_pair(spec, var, value)
+        for solver in solvers:
+            rate, flag = solve(solver, budget)
+            rows.append([var, value, rate, solver, flag])
+    return _doc(command, spec, _SCALAR_COLUMNS, rows, **meta)
+
+
+def run_point_cr(spec: dict) -> dict:
     solvers = _solver_list(spec, ("closed_form", "grid"), "closed_form")
     step = _get(spec, "step", 0.01)
-    for value in values:
-        for solver in solvers:
-            if solver == "closed_form":
-                rate = _closed_form(spec, "point", value)
-            else:
-                pmf, met = _point_instance(spec)
-                rate = grid_oracle_point_cr(pmf, met, value, step)
-            rows.append([var, value, rate, solver, ""])
-    return _doc("point-cr", spec, _SCALAR_COLUMNS, rows)
+    pmf, met = _point_instance(spec) if "grid" in solvers else (None, None)
+    return _scalar_doc("point-cr", spec, solvers, lambda solver, d1: (
+        _closed_form(spec, "point", d1) if solver == "closed_form"
+        else grid_oracle_point_cr(pmf, met, d1, step), ""))
 
 
 def run_hb_cr(spec: dict) -> dict:
-    var, values = _sweep_values(spec)
     solvers = _solver_list(spec, ("closed_form", "grid", "descent"), "closed_form")
     step = _get(spec, "step", 0.02)
     restarts = _get(spec, "restarts", 8, int)
     seed = _get(spec, "seed", 0, int)
-    src, m1, m2, order, meta = (_hb_instance(spec) if solvers != ["closed_form"]
-                                else (None, None, None, None, {}))
-    rows = []
-    for value in values:
-        pair = _budget_pair(spec, var, value)
-        for solver in solvers:
-            if solver == "closed_form":
-                rate, label = _closed_form(spec, "hb", pair)
-                flag = label.value
-            else:
-                flag = "not_degraded" if meta.get("degraded_order") == "none" else ""
-                budget = DistortionPair(*order(pair.d1, pair.d2))
-                if solver == "grid":
-                    rate, _ = grid_oracle_hb_cr(src, m1, m2, budget, step,
-                                                guard=_get(spec, "guard", HB_GUARD_DEFAULT, int))
-                else:
-                    rate = descent_hb_cr(src, m1, m2, budget, restarts=restarts, seed=seed,
-                                         init=_binary_seed_channel(spec, pair)).rate
-            rows.append([var, value, rate, solver, flag])
-    doc = _doc("hb-cr", spec, _SCALAR_COLUMNS, rows)
-    doc["meta"].update(meta)
-    return doc
+    src, m1, m2, order, flag, meta = (_hb_instance(spec) if solvers != ["closed_form"]
+                                      else (None, None, None, None, "", {}))
+
+    def solve(solver: str, pair: DistortionPair) -> tuple[float, str]:
+        if solver == "closed_form":
+            rate, label = _closed_form(spec, "hb", pair)
+            return rate, label.value
+        budget = DistortionPair(*order(pair.d1, pair.d2))
+        if solver == "grid":
+            return grid_oracle_hb_cr(src, m1, m2, budget, step, guard=_get(
+                spec, "guard", HB_GUARD_DEFAULT, int))[0], flag
+        return descent_hb_cr(src, m1, m2, budget, restarts=restarts, seed=seed,
+                             init=_binary_seed_channel(spec, pair)).rate, flag
+    return _scalar_doc("hb-cr", spec, solvers, solve, **meta)
 
 
 def _boundary_rows(region, solver: str, provenance: str = "") -> list[list]:
@@ -385,16 +397,17 @@ def run_coop_cr(spec: dict) -> dict:
             region = coop_region_xy2y1(src, m1, m2, pair, cfg)
             meta["unbounded"] = list(region.unbounded)
         rows.extend(_boundary_rows(region, cfg.method))
-    doc = _doc("coop-cr", spec, _REGION_COLUMNS, rows)
-    doc["meta"].update(meta)
-    doc["meta"]["chain"] = chain
-    return doc
+    return _doc("coop-cr", spec, _REGION_COLUMNS, rows, **meta, chain=chain)
 
 
 def run_cascade_cr(spec: dict) -> dict:
     var, values = _sweep_values(spec)
     solvers = _solver_list(spec, ("closed_form", "grid", "descent"), "closed_form")
-    given_chain = _chain(spec)
+    chain = _chain(spec)
+    if solvers[-1] != "closed_form":   # the one sampler solver comes last
+        src, m1, m2 = _finite_instance(spec)
+        cfg = _sampler_config(spec, solvers[-1])
+        chain = chain or ("x-y2-y1" if check_markov_chain(src, "x-y2-y1") else "x-y1-y2")
     rows = []
     meta: dict[str, Any] = {}
     for value in values:
@@ -404,102 +417,66 @@ def run_cascade_cr(spec: dict) -> dict:
                 r1, r2 = _closed_form(spec, "cascade", pair)
                 meta["inner_outer"] = "coincident"
                 rows.append(["corner", value, r1, r2, solver, "", "outer-corner"])
+            elif chain == "x-y1-y2":
+                region = cascade_region_xy1y2(src, m1, m2, pair, cfg)
+                rows.extend(_boundary_rows(region, solver))
             else:
-                src, m1, m2 = _finite_instance(spec)
-                cfg = _sampler_config(spec, solver)
-                chain = given_chain or ("x-y2-y1" if check_markov_chain(src, "x-y2-y1")
-                                        else "x-y1-y2")
-                if chain == "x-y1-y2":
-                    region = cascade_region_xy1y2(src, m1, m2, pair, cfg)
-                    rows.extend(_boundary_rows(region, solver))
-                else:
-                    init = _binary_seed_channel(spec, pair)
-                    cfg = dataclasses.replace(
-                        cfg, seed_channels=() if init is None else (init,))
-                    bounds = cascade_bounds_xy2y1(src, m1, m2, pair, cfg)
-                    oc = bounds.outer.points[0]
-                    rows.append(["corner", value, oc.r1, oc.r2, solver, "", "outer-corner"])
-                    rows.extend(_boundary_rows(bounds.inner, solver, "inner"))
-                    meta["gap_bits"] = bounds.gap
-    doc = _doc("cascade-cr", spec, _REGION_COLUMNS, rows)
-    doc["meta"].update(meta)
-    return doc
+                init = _binary_seed_channel(spec, pair)
+                bounds = cascade_bounds_xy2y1(src, m1, m2, pair, dataclasses.replace(
+                    cfg, seed_channels=() if init is None else (init,)))
+                oc = bounds.outer.points[0]
+                rows.append(["corner", value, oc.r1, oc.r2, solver, "", "outer-corner"])
+                rows.extend(_boundary_rows(bounds.inner, solver, "inner"))
+                meta["gap_bits"] = bounds.gap
+    return _doc("cascade-cr", spec, _REGION_COLUMNS, rows, **meta)
 
 
 def run_conr(spec: dict) -> dict:
-    src, m1, m2, order, meta = _hb_instance(spec)
-    var, values = _sweep_values(spec)
+    src, m1, m2, order, flag, meta = _hb_instance(spec)
     step = _get(spec, "step", 0.05)
-    caps = (_get(spec, "u1_cap", 2, int), _get(spec, "u2_cap", 2, int))
-    de1 = _get(spec, "de1", 0.0)
-    de2 = _get(spec, "de2", 0.0)
-    conr = ConRConstraint(*order(de1, de2),
-                          DistortionMetric.hamming(m1.n_outputs),
+    caps = _caps(spec)
+    de = [_get(spec, "de1", 0.0), _get(spec, "de2", 0.0)]
+    conr = ConRConstraint(*order(*de), DistortionMetric.hamming(m1.n_outputs),
                           DistortionMetric.hamming(m2.n_outputs))
-    exact_caps = (src.nx + 4, (src.nx + 2) ** 2)
+    exact_caps = [src.nx + 4, (src.nx + 2) ** 2]
     solver_caps = order(*caps)
-    rows = []
-    for value in values:
-        pair = _budget_pair(spec, var, value)
+    reduced = ("caps_reduced" if solver_caps[0] < exact_caps[0]
+               or solver_caps[1] < exact_caps[1] else "")
+    map_budget = _get(spec, "map_budget", 1_000_000, int)
+
+    def solve(solver: str, pair: DistortionPair) -> tuple[float, str]:
         res = brute_force_conr(src, m1, m2, DistortionPair(*order(pair.d1, pair.d2)),
-                               conr, u_caps=solver_caps, step=step,
-                               map_budget=_get(spec, "map_budget", 1_000_000, int))
-        flags = []
-        if res.heuristic:
-            flags.append("heuristic")
-        if solver_caps[0] < exact_caps[0] or solver_caps[1] < exact_caps[1]:
-            flags.append("caps_reduced")
-        if meta.get("degraded_order") == "none":
-            flags.append("not_degraded")
-        rows.append([var, value, res.rate, "brute_force", ",".join(flags)])
-    doc = _doc("conr", spec, _SCALAR_COLUMNS, rows)
-    doc["meta"].update(meta)
-    doc["meta"]["u_caps"] = list(caps)
-    doc["meta"]["exact_caps"] = list(exact_caps)
-    doc["meta"]["de"] = [de1, de2]
-    return doc
+                               conr, u_caps=solver_caps, step=step, map_budget=map_budget)
+        flags = ("heuristic" if res.heuristic else "", reduced, flag)
+        return res.rate, ";".join(f for f in flags if f)
+    return _scalar_doc("conr", spec, ["brute_force"], solve, **meta, u_caps=list(caps),
+                       exact_caps=exact_caps, de=de)
 
 
 def run_hb_nocr(spec: dict) -> dict:
-    src, m1, m2, order, meta = _hb_instance(spec)
-    var, values = _sweep_values(spec)
+    src, m1, m2, order, flag, meta = _hb_instance(spec)
     step = _get(spec, "step", 0.05)
-    caps = (_get(spec, "u1_cap", 2, int), _get(spec, "u2_cap", 2, int))
-    flag = "not_degraded" if meta.get("degraded_order") == "none" else ""
-    rows = []
-    for value in values:
-        pair = _budget_pair(spec, var, value)
-        rate = brute_force_hb_nocr(src, m1, m2, DistortionPair(*order(pair.d1, pair.d2)),
-                                   u_caps=order(*caps), step=step)
-        rows.append([var, value, rate, "brute_force", flag])
-    doc = _doc("hb-nocr", spec, _SCALAR_COLUMNS, rows)
-    doc["meta"].update(meta)
-    doc["meta"]["u_caps"] = list(caps)
-    return doc
+    caps = _caps(spec)
+    return _scalar_doc("hb-nocr", spec, ["brute_force"], lambda solver, pair: (
+        brute_force_hb_nocr(src, m1, m2, DistortionPair(*order(pair.d1, pair.d2)),
+                            u_caps=order(*caps), step=step), flag), **meta, u_caps=list(caps))
 
 
 def run_wz(spec: dict) -> dict:
-    var, values = _sweep_values(spec)
-    if var != "d1":
-        raise InvalidSpecError("wz sweeps d1 only")
     step = _get(spec, "step", 0.05)
     cap = _get(spec, "u_cap", 3, int)
     pmf, met = _point_instance(spec)
-    rows = []
-    for value in values:
-        rate = brute_force_wz(pmf, met, value, cap, step)
-        rows.append([var, value, rate, "brute_force", ""])
-    return _doc("wz", spec, _SCALAR_COLUMNS, rows)
+    return _scalar_doc("wz", spec, ["brute_force"], lambda solver, d1: (
+        brute_force_wz(pmf, met, d1, cap, step), ""))
 
 
 def run_degradedness(spec: dict) -> dict:
     res = check_stochastic_degradedness(_source(spec["model"]))
     rows = [["verdict", 1.0 if res.feasible else 0.0, res.violation,
              "linear_program", "feasible" if res.feasible else "infeasible"]]
-    doc = _doc("degradedness", spec, _SCALAR_COLUMNS, rows)
-    doc["meta"]["kernel"] = [[float(v) for v in row] for row in res.kernel]
-    doc["meta"]["violation_tv"] = res.violation
-    return doc
+    return _doc("degradedness", spec, _SCALAR_COLUMNS, rows,
+                kernel=[[float(v) for v in row] for row in res.kernel],
+                violation_tv=res.violation)
 
 
 def run_figure(spec: dict) -> dict:
@@ -512,16 +489,14 @@ def run_figure(spec: dict) -> dict:
             for d1 in d1_values:
                 rate, label = rhb_cr_gaussian(DistortionPair(d1, d2), gspec)
                 rows.append([d2, d1, rate, label.value, "closed_form", ""])
-        doc = _doc("figure-6", spec,
-                   ["d2", "d1", "rate_bits", "region", "solver", "flag"], rows)
-        doc["meta"]["model"] = {"kind": "gaussian", "sigma_x2": 4.0, "n1": 2.0, "n2": 3.0}
-        return doc
+        return _doc("figure-6", spec, ["d2", "d1", "rate_bits", "region", "solver", "flag"],
+                    rows, model={"kind": "gaussian", "sigma_x2": 4.0, "n1": 2.0, "n2": 3.0})
     if fid == 8:
         bspec = BinaryErasureSpec(1.0, 0.35)
         src = build_erased_source(bspec)
         met = DistortionMetric.hamming(2)
         step = _get(spec, "step", 0.05)
-        caps = (_get(spec, "u1_cap", 2, int), _get(spec, "u2_cap", 2, int))
+        caps = _caps(spec)
         d1_values = [0.05, 0.1, 0.2, 0.35, 0.5]
         rows = []
         for d2 in (0.05, 0.3):
@@ -530,13 +505,10 @@ def run_figure(spec: dict) -> dict:
                 cr = rhb_cr_binary(pair, bspec, BinaryMetric.HAMMING).rate
                 nocr = brute_force_hb_nocr(src, met, met, pair, u_caps=caps, step=step)
                 rows.append([d2, d1, cr, nocr, "closed_form+brute_force", ""])
-        doc = _doc("figure-8", spec,
-                   ["d2", "d1", "rate_cr_bits", "rate_nocr_bits", "solver", "flag"],
-                   rows)
-        doc["meta"]["model"] = {"kind": "binary", "p1": 1.0, "p2": 0.35}
-        doc["meta"]["u_caps"] = list(caps)
-        doc["meta"]["step"] = step
-        return doc
+        return _doc("figure-8", spec,
+                    ["d2", "d1", "rate_cr_bits", "rate_nocr_bits", "solver", "flag"], rows,
+                    model={"kind": "binary", "p1": 1.0, "p2": 0.35}, u_caps=list(caps),
+                    step=step)
     raise InvalidSpecError("figure id must be 6 or 8")
 
 
@@ -553,7 +525,9 @@ _RUNNERS = {
 }
 
 
-def _doc(command: str, spec: dict, columns: list[str], rows: list[list]) -> dict:
+def _doc(command: str, spec: dict, columns: list[str], rows: list[list],
+         **meta: Any) -> dict:
+    """The result document; `meta` adds to (or replaces) the solver knobs."""
     echo = {k: v for k, v in spec.items() if k != "model" or not isinstance(v, dict)
             or v.get("kind") != "custom"}
     if isinstance(spec.get("model"), dict) and spec["model"].get("kind") == "custom":
@@ -568,12 +542,13 @@ def _doc(command: str, spec: dict, columns: list[str], rows: list[list]) -> dict
             "step": spec.get("step"),
             "restarts": spec.get("restarts"),
             "seed": spec.get("seed"),
+            **meta,
         },
     }
 
 
 def run_command(command: str, spec: dict) -> dict:
-    """Resolve and execute one subcommand; returns the result document."""
+    """Resolve and execute one command; returns the result document."""
     if command not in _RUNNERS:
         raise InvalidSpecError(f"unknown command {command!r}")
     if command != "figure" and "model" not in spec:
@@ -586,31 +561,21 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="crrd",
         description="Rate-distortion curves and regions for multiterminal "
                     "source coding with common-reconstruction constraints.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
-        p = sub.add_parser(name)
-        p.add_argument("--spec", help="JSON spec file; flags override its fields")
-        p.add_argument("--model", help="gaussian:s2,n1,n2 | binary-erased:p1,p2 | custom:FILE")
-        p.add_argument("--d1", type=float)
-        p.add_argument("--d2", type=float)
-        p.add_argument("--de1", type=float)
-        p.add_argument("--de2", type=float)
-        p.add_argument("--sweep", help="var:from:to:count")
-        p.add_argument("--solver", help="closed_form | grid | descent | both (per subcommand)")
-        p.add_argument("--metric", help="hamming | erasure")
-        p.add_argument("--chain", help="x-y1-y2 | x-y2-y1")
-        p.add_argument("--step", type=float)
-        p.add_argument("--restarts", type=int)
-        p.add_argument("--weights", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--u-cap", dest="u_cap", type=int)
-        p.add_argument("--u1-cap", dest="u1_cap", type=int)
-        p.add_argument("--u2-cap", dest="u2_cap", type=int)
-        p.add_argument("--map-budget", dest="map_budget", type=int)
-        p.add_argument("--guard", type=int)
-        p.add_argument("--id", type=int, help="figure id (6 or 8)")
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--format", help="csv | json")
+    parser.add_argument("command", choices=list(_RUNNERS))
+    parser.add_argument("--spec", help="JSON spec file; flags override its fields")
+    parser.add_argument("--model", help="gaussian:s2,n1,n2 | binary-erased:p1,p2 | custom:FILE")
+    for name in ("d1", "d2", "de1", "de2", "step"):
+        parser.add_argument(f"--{name}", type=float)
+    parser.add_argument("--sweep", help="var:from:to:count")
+    parser.add_argument("--solver", help="closed_form | grid | descent | both (per command)")
+    parser.add_argument("--metric", help="hamming | erasure")
+    parser.add_argument("--chain", help="x-y1-y2 | x-y2-y1")
+    for name in ("restarts", "weights", "seed", "u-cap", "u1-cap", "u2-cap", "map-budget",
+                 "guard"):
+        parser.add_argument(f"--{name}", type=int)
+    parser.add_argument("--id", type=int, help="figure id (6 or 8)")
+    parser.add_argument("--out", help="output file (default stdout)")
+    parser.add_argument("--format", help="csv | json")
     return parser
 
 

@@ -232,30 +232,22 @@ class JointSource:
 class DistortionMetric:
     """Per-symbol distortion matrix d(x, xhat) with FORBIDDEN (= inf) entries.
 
-    Finite entries must lie in [0, d_max]; every source row needs at least
-    one finite entry, otherwise no reconstruction could ever be feasible.
+    Finite entries must be >= 0; every source row needs at least one finite
+    entry, otherwise no reconstruction could ever be feasible.
     """
 
-    __slots__ = ("matrix", "d_max")
+    __slots__ = ("matrix",)
 
-    def __init__(self, matrix, d_max: float | None = None):
+    def __init__(self, matrix):
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2:
             raise InvalidSpecError("distortion matrix must be 2-d")
         if np.any(np.isnan(m)) or np.any(m < 0):
             raise InvalidSpecError("distortion entries must be >= 0 or FORBIDDEN")
         finite = np.isfinite(m)
-        if not finite.any(axis=1).all():
+        if not np.isfinite(m).any(axis=1).all():
             raise InvalidSpecError("every source row needs a finite distortion entry")
-        if d_max is None:
-            d_max = float(m[finite].max()) if finite.any() else 1.0
-            d_max = max(d_max, 1.0)
-        if not (d_max > 0 and math.isfinite(d_max)):
-            raise InvalidSpecError("d_max must be a positive finite real")
-        if np.any(m[finite] > d_max):
-            raise InvalidSpecError("finite entries must not exceed d_max")
         object.__setattr__(self, "matrix", _frozen(m))
-        object.__setattr__(self, "d_max", float(d_max))
 
     @property
     def n_inputs(self) -> int:
@@ -270,7 +262,7 @@ class DistortionMetric:
         n_out = n if n_out is None else n_out
         m = np.ones((n, n_out))
         np.fill_diagonal(m, 0.0)
-        return cls(m, d_max=1.0)
+        return cls(m)
 
     @classmethod
     def erasure(cls, n: int) -> "DistortionMetric":
@@ -283,7 +275,7 @@ class DistortionMetric:
         for x in range(n):
             m[x, x] = 0.0
             m[x, n] = 1.0
-        return cls(m, d_max=1.0)
+        return cls(m)
 
     def to_json(self) -> str:
         ent = ["inf" if not math.isfinite(v) else float(v) for v in self.matrix.reshape(-1)]
@@ -302,7 +294,7 @@ class DistortionMetric:
         return cls(m)
 
     def __repr__(self) -> str:
-        return f"DistortionMetric({self.n_inputs}x{self.n_outputs}, d_max={self.d_max})"
+        return f"DistortionMetric({self.n_inputs}x{self.n_outputs})"
 
 
 def check_budget(name: str, value: float) -> None:

@@ -80,6 +80,19 @@ class TestSpecFileAndOverrides:
         assert want - 1e-12 <= got <= want + 1e-2
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "gaussian:4,2,3", "--d2", "1", "--sweep", "d1:0.5:4.5:3"],
+        ["--model", "binary-erased:1,0.35", "--d1", "0.2", "--d2", "0.1", "--solver",
+         "grid", "--step", "0.25", "--format", "json"],
+    ], ids=["closed-form", "grid-json"])
+    def test_flags_may_precede_the_command(self, argv, capsys):
+        after = run_cli(["hb-cr"] + argv, capsys)
+        before = run_cli(argv[:2] + ["hb-cr"] + argv[2:], capsys)
+        first = run_cli(argv + ["hb-cr"], capsys)
+        assert after[0] == 0 and after[1]
+        assert before[:2] == after[:2] and first[:2] == after[:2]
+
+
 class TestExitCodes:
     def test_spec_error(self, capsys):
         rc, _, err = run_cli(["hb-cr", "--model", "nonsense:1"], capsys)
@@ -457,7 +470,7 @@ class TestHbOrder:
         argv = argv + ["--model", f"custom:{custom_models['neither']}", "--d1", "0.2",
                        "--d2", "0.2"]
         doc = self._json(capsys, argv)
-        assert "not_degraded" in doc["rows"][0][4].split(",")
+        assert "not_degraded" in doc["rows"][0][4].split(";")
         assert doc["meta"]["degraded_order"] == "none"
         assert doc["meta"]["violation_tv"] > 1e-3
         rc, out, _ = run_cli(argv + ["--format", "csv"], capsys)
@@ -474,6 +487,36 @@ class TestHbOrder:
         paths = _write_custom_models(
             tmp_path, json.loads(crrd.DistortionMetric.hamming(3).to_json()))
         rc, out, err = run_cli([command, "--model", f"custom:{paths['assumed']}",
+                                "--d1", "0.2", "--d2", "0.1", "--step", "0.25"], capsys)
+        assert rc == 2 and out == ""
+        assert "metric rows must equal |X|" in err
+
+
+    def _zero_x_model(self, path, metric):
+        """X = 2 has zero mass; Y1 and Y2 flip X w.p. 0.2 and 0.1."""
+        mass = np.einsum("x,xa,xb->xab", [0.5, 0.5, 0.0], [[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]],
+                         [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
+        path.write_text(json.dumps({
+            "source": {"alphabets": [3, 2, 2], "pmf": mass.ravel().tolist()},
+            "metric1": json.loads(metric.to_json()), "metric2": json.loads(metric.to_json())}))
+        return crrd.JointSource(mass[:2])
+
+    @pytest.mark.parametrize("command", ["hb-cr", "hb-nocr"])
+    def test_zero_mass_symbol_drops_its_metric_rows(self, tmp_path, capsys, command):
+        src = self._zero_x_model(tmp_path / "zero.json", crrd.DistortionMetric.hamming(3, 2))
+        doc = self._json(capsys, [command, "--model", f"custom:{tmp_path / 'zero.json'}",
+                                  "--d1", "0.2", "--d2", "0.1", "--solver", "grid",
+                                  "--step", "0.25"])
+        ham, pair = crrd.DistortionMetric.hamming(2), crrd.DistortionPair(0.2, 0.1)
+        want = (crrd.grid_oracle_hb_cr(src, ham, ham, pair, 0.25)[0] if command == "hb-cr"
+                else crrd.brute_force_hb_nocr(src, ham, ham, pair, step=0.25))
+        assert doc["rows"][0][2] == want
+        assert doc["meta"]["degraded_order"] == "x-y2-y1"
+
+    def test_metric_rows_follow_the_source_file(self, tmp_path, capsys):
+        # two rows fit the pruned source, but not the file's three X symbols
+        self._zero_x_model(tmp_path / "zero.json", crrd.DistortionMetric.hamming(2))
+        rc, out, err = run_cli(["hb-nocr", "--model", f"custom:{tmp_path / 'zero.json'}",
                                 "--d1", "0.2", "--d2", "0.1", "--step", "0.25"], capsys)
         assert rc == 2 and out == ""
         assert "metric rows must equal |X|" in err
@@ -558,6 +601,31 @@ class TestRegionsViaCli:
         assert tuple(closed[2:4]) == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx((0.9175, 0.3325), abs=1e-12)
         assert closed[2] <= grid[2] + 1e-12 and closed[3] <= grid[3] + 1e-12
+
+    def test_cascade_checks_the_chain_once(self, monkeypatch, capsys):
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1])
+            return crrd.check_markov_chain(*args)
+        monkeypatch.setattr(crrd.cli, "check_markov_chain", spy)
+        rc, out, _ = run_cli(["cascade-cr", "--model", "binary-erased:1,0.35", "--d2", "0.1",
+                              "--sweep", "d1:0.2:0.3:3", "--solver", "grid", "--step", "0.25"],
+                             capsys)
+        assert rc == 0 and len(out.strip().split("\n")) > 3
+        assert calls == ["x-y2-y1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "binary-erased:1,0.35", "--d1", "0.1", "--d2", "0.05", "--map-budget", "10"],
+        ["--model", "custom:{neither}", "--d1", "0.2", "--d2", "0.1", "--de1", "0.1"],
+    ], ids=["heuristic", "not-degraded"])
+    def test_conr_rows_fit_the_header(self, argv, custom_models, capsys):
+        rc, out, _ = run_cli(["conr", "--step", "0.25"]
+                             + [a.format(**custom_models) for a in argv], capsys)
+        lines = out.strip().split("\n")
+        assert rc == 0 and len(lines) == 2
+        assert [len(line.split(",")) for line in lines] == [5, 5]
+        assert lines[1].split(",")[4].count(";") == 1
 
     def test_conr_flags_column(self, capsys):
         rc, out, _ = run_cli(["conr", "--model", "binary-erased:1,0.35",

@@ -180,10 +180,6 @@ class TestDistortionMetric:
         with pytest.raises(InvalidSpecError):
             DistortionMetric([[crrd.FORBIDDEN, crrd.FORBIDDEN], [0.0, 1.0]])
 
-    def test_entries_capped_by_d_max(self):
-        with pytest.raises(InvalidSpecError):
-            DistortionMetric([[0.0, 2.0]], d_max=1.0)
-
     def test_json_round_trip_with_inf(self):
         m = DistortionMetric.erasure(2)
         back = DistortionMetric.from_json(m.to_json())

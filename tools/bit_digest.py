@@ -173,21 +173,46 @@ _CLI = (
     ["wz", "--model", "binary-erased:0.35", "--d1", "0.1", "--step", "0.1"],
     ["degradedness", "--model", "binary-erased:0.5,0.35"],
     ["figure", "--id", "6"],
+    ["figure", "--id", "8", "--step", "0.25"],
+    ["hb-cr", "--model", "gaussian:4,2,3", "--d2", "1", "--sweep", "d1:0.5:5:4"],
+    ["cascade-cr", "--model", "binary-erased:1,0.35", "--d1", "0.3",
+     "--sweep", "d2:0.1:0.3:2", "--solver", "both", "--step", "0.25"],
+    # several flags on one row
+    ["conr", "--model", "binary-erased:1,0.35", "--d1", "0.1", "--d2", "0.05",
+     "--step", "0.25", "--map-budget", "10"],
+    # exit codes 2 (point-cr sweeps d1 only) and 4 (guard)
+    ["point-cr", "--model", "binary-erased:0.35", "--sweep", "d2:0.1:0.2:2"],
+    ["hb-cr", "--model", "binary-erased:1,0.35", "--d1", "0.1", "--d2", "0.05",
+     "--solver", "grid", "--step", "0.25", "--guard", "1"],
 )
 
 
-def _custom_models():
-    """(name, model file contents): the erased source (0.6, 0.1) with its Y
-    axes swapped, so that X - Y1 - Y2 holds (degraded the other way round),
-    and a source degraded neither way: Y1 erases X with probability 0.5,
-    Y2 flips it with probability 0.1."""
+def _custom_models() -> dict:
+    """Model file contents by name.  "reversed" is the erased source (0.6,
+    0.1) with its Y axes swapped, so that X - Y1 - Y2 holds (degraded the
+    other way round); "neither" is degraded neither way: Y1 erases X with
+    probability 0.5, Y2 flips it with probability 0.1.  "zero_x" has a third
+    X symbol of zero mass, with metric rows for it; "pair" and "floor" are
+    point-to-point models, "floor" with every distortion above 0.1."""
     erased = crrd.build_erased_source(crrd.BinaryErasureSpec(0.6, 0.1))
     neither = np.einsum("x,xa,xb->xab", np.array([0.5, 0.5]),
                         np.array([[0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]), _bsc(0.1))
     ham = json.loads(crrd.DistortionMetric.hamming(2).to_json())
-    for name, mass in (("reversed", erased.mass.transpose(0, 2, 1)), ("neither", neither)):
-        yield name, {"source": json.loads(crrd.JointSource(mass).to_json()),
+    models = {name: {"source": json.loads(crrd.JointSource(mass).to_json()),
                      "metric1": ham, "metric2": ham}
+              for name, mass in (("reversed", erased.mass.transpose(0, 2, 1)),
+                                 ("neither", neither))}
+    flip = np.vstack([_bsc(0.2), [[0.5, 0.5]]])
+    zero_x = np.einsum("x,xa,xb->xab", np.array([0.5, 0.5, 0.0]), flip, flip[[1, 0, 2]])
+    ham32 = json.loads(crrd.DistortionMetric.hamming(3, 2).to_json())
+    models["zero_x"] = {"source": {"alphabets": [3, 2, 2], "pmf": zero_x.ravel().tolist()},
+                        "metric1": ham32, "metric2": ham32}
+    models["pair"] = {"pair_pmf": {"alphabets": [3, 2],
+                                   "pmf": [0.3, 0.1, 0.05, 0.25, 0.1, 0.2]},
+                      "metric": json.loads(crrd.DistortionMetric.hamming(3).to_json())}
+    models["floor"] = {"pair_pmf": {"alphabets": [2, 2], "pmf": [0.25] * 4},
+                       "metric": {"rows": 2, "cols": 2, "entries": [0.2, 1.0, 1.0, 0.2]}}
+    return models
 
 
 _CUSTOM_CLI = (
@@ -195,6 +220,16 @@ _CUSTOM_CLI = (
     ["hb-cr", "--d1", "0.1", "--d2", "0.1", "--solver", "descent", "--restarts", "2"],
     ["hb-nocr", "--d1", "0.1", "--d2", "0.1", "--step", "0.25"],
     ["conr", "--d1", "0.2", "--d2", "0.1", "--de1", "0.1", "--de2", "0.2", "--step", "0.25"],
+)
+
+#: (model, argv) for the models that only some commands read.
+_MODEL_CLI = (
+    ("zero_x", ["hb-cr", "--d1", "0.2", "--d2", "0.1", "--solver", "grid", "--step", "0.25"]),
+    ("zero_x", ["hb-nocr", "--d1", "0.2", "--d2", "0.1", "--step", "0.25"]),
+    ("pair", ["point-cr", "--d1", "0.2", "--solver", "grid", "--step", "0.1"]),
+    ("pair", ["wz", "--d1", "0.2", "--step", "0.25"]),
+    # exit code 3: no channel meets the budget
+    ("floor", ["point-cr", "--d1", "0.1", "--solver", "grid"]),
 )
 
 
@@ -210,13 +245,15 @@ def cli_runs() -> None:
     for argv in _CLI:
         _cli_record(argv, " ".join(argv))
     with tempfile.TemporaryDirectory() as tmp:
-        for name, doc in _custom_models():
-            path = os.path.join(tmp, f"{name}.json")
-            with open(path, "w", encoding="utf-8") as fh:
+        paths = {}
+        for name, doc in _custom_models().items():
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
-            for argv in _CUSTOM_CLI:
-                _cli_record(argv + ["--model", f"custom:{path}"],
-                            " ".join(argv + ["--model", f"custom:{name}"]))
+        runs = [(name, argv) for name in ("reversed", "neither") for argv in _CUSTOM_CLI]
+        for name, argv in runs + list(_MODEL_CLI):
+            _cli_record(argv + ["--model", f"custom:{paths[name]}"],
+                        " ".join(argv + ["--model", f"custom:{name}"]))
 
 
 def main() -> None:
