@@ -374,16 +374,19 @@ def _chain(spec: dict) -> str:
     return chain
 
 
+def _detect_chain(given: str, src: JointSource, chains: tuple[str, str]) -> str:
+    """The chain `given` by `_chain`, else the first of `chains` the source satisfies."""
+    if given:
+        return given
+    for chain in chains:
+        if check_markov_chain(src, chain):
+            return chain
+    raise InvalidSpecError("source satisfies neither Markov chain; pass --chain")
+
+
 def run_coop_cr(spec: dict) -> dict:
     src, m1, m2 = _finite_instance(spec)
-    chain = _chain(spec)
-    if not chain:
-        if check_markov_chain(src, "x-y1-y2"):
-            chain = "x-y1-y2"
-        elif check_markov_chain(src, "x-y2-y1"):
-            chain = "x-y2-y1"
-        else:
-            raise InvalidSpecError("source satisfies neither Markov chain; pass --chain")
+    chain = _detect_chain(_chain(spec), src, ("x-y1-y2", "x-y2-y1"))
     var, values = _sweep_values(spec)
     [solver] = _solver_list(spec, ("grid", "descent"), "grid")
     cfg = _sampler_config(spec, solver)
@@ -407,7 +410,7 @@ def run_cascade_cr(spec: dict) -> dict:
     if solvers[-1] != "closed_form":   # the one sampler solver comes last
         src, m1, m2 = _finite_instance(spec)
         cfg = _sampler_config(spec, solvers[-1])
-        chain = chain or ("x-y2-y1" if check_markov_chain(src, "x-y2-y1") else "x-y1-y2")
+        chain = _detect_chain(chain, src, ("x-y2-y1", "x-y1-y2"))
     rows = []
     meta: dict[str, Any] = {}
     for value in values:

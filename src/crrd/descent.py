@@ -33,14 +33,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .channels import ChannelPolytope, CRProblem, TestChannel
 from .closed_form import DistortionPair
 from .errors import InfeasibleBudgetError, InvalidSpecError
 from .gridsearch import BATCH
 from .measures import HB_CR_TERMS, MITerm, term_value_grad
-from .prob import DistortionMetric, JointSource
+from .prob import DistortionMetric, JointSource, linprog
 
 __all__ = [
     "DescentResult",

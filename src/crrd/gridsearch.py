@@ -24,7 +24,6 @@ channels attaining the minimum (`_grid_argmin`).  The objective is
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -60,27 +59,33 @@ def simplex_grid(units: int, cells: int) -> np.ndarray:
     """All nonnegative integer vectors of length `cells` summing to `units`.
 
     Rows are in lexicographic order; divide by `units` for grid pmfs.  The
-    enumeration is stars and bars: each row is one placement of
-    `cells - 1` bars among `units + cells - 1` slots, and the gaps between
-    consecutive bars are its entries.  `itertools.combinations` yields the
-    placements in lexicographic order, which is the rows' order too.
+    rows are built column by column.  Before column j the rows fall into
+    runs that share their first j entries; a run with r units left holds
+    one sub-run for each entry v = 0..r of column j, in that order, and the
+    sub-run's length is the number of ways to spread the r - v units left
+    over the remaining cells.  The last column takes what is left.
     """
     for name, value in (("units", units), ("cells", cells)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise InvalidSpecError(f"simplex_grid needs an integer {name}, got {value!r}")
     if cells < 1 or units < 0:
         raise InvalidSpecError("simplex_grid needs cells >= 1 and units >= 0")
-    slots = int(units) + int(cells) - 1
-    n = math.comb(slots, cells - 1)
-    # bar positions, between a virtual bar before the first slot and one after the last
-    edges = np.empty((n, cells + 1), dtype=np.int32)
-    edges[:, 0], edges[:, -1] = -1, slots
-    edges[:, 1:-1] = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(slots), cells - 1)),
-        dtype=np.int32, count=n * (cells - 1)).reshape(n, cells - 1)
-    rows = np.diff(edges, axis=1)
-    rows -= 1
-    return rows
+    units, cells = int(units), int(cells)
+    # column-major while filling, so that each column is one contiguous write
+    rows = np.empty((math.comb(units + cells - 1, cells - 1), cells), dtype=np.int32,
+                    order="F")
+    left = np.array([units])  # units left in each run of equal prefixes
+    for j in range(cells - 1):
+        rest = cells - 1 - j
+        # rows completing r units over `rest` cells, for r = 0..units
+        completions = np.array([math.comb(r + rest - 1, rest - 1)
+                                for r in range(units + 1)])
+        spans = left + 1
+        v = np.arange(spans.sum()) - np.repeat(np.cumsum(spans) - spans, spans)
+        left = np.repeat(left, spans) - v
+        rows[:, j] = np.repeat(v, completions[left])
+    rows[:, -1] = left
+    return np.ascontiguousarray(rows)
 
 
 def budget_limit(budget: float | np.ndarray) -> float | np.ndarray:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import CrrdError, InvalidSpecError
 
@@ -379,6 +378,18 @@ def check_markov_chain(source: JointSource, order) -> bool:
     lhs = m * p_b[None, :, None]
     rhs = p_ab[:, :, None] * p_bc[None, :, :]
     return bool(np.max(np.abs(lhs - rhs)) < 1e-10)
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first call.
+
+    The package's two LPs (`check_stochastic_degradedness` and descent's
+    feasible start) are its only use of scipy, so `import crrd` loads
+    numpy alone and a process that never solves an LP never pays for
+    `scipy.optimize`.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)

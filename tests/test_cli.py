@@ -602,6 +602,20 @@ class TestRegionsViaCli:
         assert want == pytest.approx((0.9175, 0.3325), abs=1e-12)
         assert closed[2] <= grid[2] + 1e-12 and closed[3] <= grid[3] + 1e-12
 
+    @pytest.mark.parametrize("command", ["coop-cr", "cascade-cr"])
+    def test_no_markov_chain_exits_2(self, command, tmp_path, capsys):
+        # Y1 and Y2 are independent BSC(0.2) and BSC(0.1) observations of X
+        mass = np.einsum("x,xa,xb->xab", [0.5, 0.5], [[0.8, 0.2], [0.2, 0.8]],
+                         [[0.9, 0.1], [0.1, 0.9]])
+        ham = json.loads(crrd.DistortionMetric.hamming(2).to_json())
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"source": json.loads(crrd.JointSource(mass).to_json()),
+                                     "metric1": ham, "metric2": ham}))
+        rc, out, err = run_cli([command, "--model", f"custom:{model}", "--d1", "0.2",
+                                "--d2", "0.1", "--solver", "grid", "--step", "0.25"], capsys)
+        assert rc == 2 and out == ""
+        assert "source satisfies neither Markov chain; pass --chain" in err
+
     def test_cascade_checks_the_chain_once(self, monkeypatch, capsys):
         calls = []
 

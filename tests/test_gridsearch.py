@@ -60,8 +60,13 @@ class TestSimplexGrid:
                           for head in itertools.product(range(units + 1), repeat=cells - 1)
                           if sum(head) <= units)
             got = simplex_grid(units, cells)
-            assert got.dtype == np.int32
+            assert got.dtype == np.int32 and got.flags.c_contiguous
             assert np.array_equal(got, np.array(want).reshape(-1, cells))
+
+    def test_large_grid_row_count(self):
+        g = simplex_grid(10, 16)
+        assert g.shape == (math.comb(25, 15), 16) and g.dtype == np.int32
+        assert np.array_equal(g[[0, -1]], [[0] * 15 + [10], [10] + [0] * 15])
 
     @pytest.mark.parametrize("units, cells", [(2.0, 3), (2, 3.0), (True, 2), (2, True),
                                               ("2", 3), (-1, 2), (2, 0)])
